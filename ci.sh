@@ -50,9 +50,12 @@ done
 go run ./cmd/dsptrace "$BENCH_DIR/trace_out" >/dev/null
 # Native smoke stage: the lock-free runtime under the race detector (the
 # goroutine-per-executor + SPSC-ring fabric is exactly what -race exists
-# for), then a record-producing run on the release build.
+# for), then a record-producing run on the release build. The paced flink
+# run lasts about five 20 ms checkpoint intervals, so the barrier path
+# runs under -race too.
 go build -race -o "$BENCH_DIR/dspbench-race" ./cmd/dspbench
 (cd "$BENCH_DIR" && ./dspbench-race -native -app wc -system storm -batch 4 -events 2000 >/dev/null)
+(cd "$BENCH_DIR" && ./dspbench-race -native -app wc -system flink -batch 4 -events 2000 -rate 20000 >/dev/null)
 (cd "$BENCH_DIR" && ./dspbench -native -app wc -system storm -batch 4 -chain -json >/dev/null)
 test -s "$BENCH_DIR/BENCH_native_wc_storm.json" || { echo "ci: missing BENCH_native_wc_storm.json" >&2; exit 1; }
 # Performance stage (non-race: wall-clock assertions): the ring runtime

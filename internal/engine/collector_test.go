@@ -16,13 +16,51 @@ func mkTuples(keys ...string) []Tuple {
 
 var wordStream = Stream(DefaultStream, "word", "n")
 
-func fieldsRouter(consumers int) *edgeRouter {
-	return newEdgeRouter(wordStream, Subscription{Group: Fields("word")}, consumers)
+// recorder is a transport that keeps every message sent to it.
+type recorder struct{ batches []AddressedBatch }
+
+func (r *recorder) now() int64       { return 0 }
+func (r *recorder) stamp() int64     { return 0 }
+func (r *recorder) slab(int) []Tuple { return nil }
+func (r *recorder) send(to int, m Msg) {
+	r.batches = append(r.batches, AddressedBatch{Consumer: to, Tuples: m.Batch})
+}
+
+// testRouter is a producer executor with one out edge to consumer
+// executors 0..n-1, on the executor core's router.
+type testRouter struct {
+	ex  *executor
+	ed  *outEdge
+	rec *recorder
+}
+
+func newTestRouter(g Grouping, consumers, batchCap int) *testRouter {
+	rec := &recorder{}
+	ed := &outEdge{stream: DefaultStream, kind: g.Kind, batchCap: batchCap}
+	if g.Kind == GroupFields {
+		ed.fieldIdx = FieldIndices(wordStream, g.Fields)
+	}
+	for c := 0; c < consumers; c++ {
+		ed.to = append(ed.to, c)
+	}
+	return &testRouter{ex: &executor{node: &Node{Name: "p"}, port: rec}, ed: ed, rec: rec}
+}
+
+// route runs one invocation's tuples through the edge and returns the
+// batches sent, in send order.
+func (r *testRouter) route(tuples []Tuple) []AddressedBatch {
+	r.rec.batches = nil
+	r.ex.route(r.ed, tuples)
+	return r.rec.batches
+}
+
+func fieldsRouter(consumers int) *testRouter {
+	return newTestRouter(Fields("word"), consumers, 0)
 }
 
 func TestFieldsRoutingSameKeySameConsumer(t *testing.T) {
 	r := fieldsRouter(3)
-	batches := r.route(mkTuples("a", "b", "a", "c", "a", "b"), 0)
+	batches := r.route(mkTuples("a", "b", "a", "c", "a", "b"))
 	dest := map[string]int{}
 	for _, b := range batches {
 		for _, tu := range b.Tuples {
@@ -42,8 +80,8 @@ func TestFieldsRoutingSameKeySameConsumer(t *testing.T) {
 func TestFieldsRoutingStableAcrossInvocations(t *testing.T) {
 	r1 := fieldsRouter(4)
 	r2 := fieldsRouter(4)
-	b1 := r1.route(mkTuples("x"), 0)
-	b2 := r2.route(mkTuples("x", "y", "x"), 0)
+	b1 := r1.route(mkTuples("x"))
+	b2 := r2.route(mkTuples("x", "y", "x"))
 	var c1, c2 = -1, -1
 	c1 = b1[0].Consumer
 	for _, b := range b2 {
@@ -59,10 +97,10 @@ func TestFieldsRoutingStableAcrossInvocations(t *testing.T) {
 }
 
 func TestShuffleRoutingBalancesBlocks(t *testing.T) {
-	r := newEdgeRouter(wordStream, Subscription{Group: Shuffle()}, 2)
+	r := newTestRouter(Shuffle(), 2, 2)
 	counts := map[int]int{}
 	for inv := 0; inv < 10; inv++ {
-		for _, b := range r.route(mkTuples("a", "b", "c", "d"), 2) {
+		for _, b := range r.route(mkTuples("a", "b", "c", "d")) {
 			if len(b.Tuples) != 2 {
 				t.Fatalf("block size %d, want 2", len(b.Tuples))
 			}
@@ -75,17 +113,17 @@ func TestShuffleRoutingBalancesBlocks(t *testing.T) {
 }
 
 func TestShuffleRotatesStartConsumer(t *testing.T) {
-	r := newEdgeRouter(wordStream, Subscription{Group: Shuffle()}, 3)
-	first := r.route(mkTuples("a"), 1)[0].Consumer
-	second := r.route(mkTuples("a"), 1)[0].Consumer
+	r := newTestRouter(Shuffle(), 3, 1)
+	first := r.route(mkTuples("a"))[0].Consumer
+	second := r.route(mkTuples("a"))[0].Consumer
 	if first == second {
 		t.Fatalf("consecutive single-tuple invocations hit the same consumer %d", first)
 	}
 }
 
 func TestGlobalRoutingAllToZero(t *testing.T) {
-	r := newEdgeRouter(wordStream, Subscription{Group: Global()}, 5)
-	for _, b := range r.route(mkTuples("a", "b", "c"), 0) {
+	r := newTestRouter(Global(), 5, 0)
+	for _, b := range r.route(mkTuples("a", "b", "c")) {
 		if b.Consumer != 0 {
 			t.Fatalf("global routed to %d", b.Consumer)
 		}
@@ -93,8 +131,8 @@ func TestGlobalRoutingAllToZero(t *testing.T) {
 }
 
 func TestAllRoutingReplicates(t *testing.T) {
-	r := newEdgeRouter(wordStream, Subscription{Group: All()}, 3)
-	batches := r.route(mkTuples("a", "b"), 0)
+	r := newTestRouter(All(), 3, 0)
+	batches := r.route(mkTuples("a", "b"))
 	got := map[int]int{}
 	for _, b := range batches {
 		got[b.Consumer] += len(b.Tuples)
@@ -107,8 +145,8 @@ func TestAllRoutingReplicates(t *testing.T) {
 }
 
 func TestBatchCapSplits(t *testing.T) {
-	r := newEdgeRouter(wordStream, Subscription{Group: Global()}, 1)
-	batches := r.route(mkTuples("a", "b", "c", "d", "e"), 2)
+	r := newTestRouter(Global(), 1, 2)
+	batches := r.route(mkTuples("a", "b", "c", "d", "e"))
 	if len(batches) != 3 {
 		t.Fatalf("got %d batches, want 3 (2+2+1)", len(batches))
 	}
@@ -119,7 +157,7 @@ func TestBatchCapSplits(t *testing.T) {
 
 func TestEmptyRouteReturnsNil(t *testing.T) {
 	r := fieldsRouter(3)
-	if got := r.route(nil, 0); got != nil {
+	if got := r.route(nil); got != nil {
 		t.Fatalf("routing no tuples produced %v", got)
 	}
 }
@@ -138,7 +176,7 @@ func TestFieldsRoutingProperty(t *testing.T) {
 		}
 		r := fieldsRouter(consumers)
 		in := mkTuples(keys...)
-		out := r.route(in, 0)
+		out := r.route(in)
 
 		seen := 0
 		for _, b := range out {
@@ -165,7 +203,7 @@ func TestShuffleRoutingProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		consumers := rng.Intn(6) + 1
 		capSize := rng.Intn(8) + 1
-		r := newEdgeRouter(wordStream, Subscription{Group: Shuffle()}, consumers)
+		r := newTestRouter(Shuffle(), consumers, capSize)
 		counts := make([]int, consumers)
 		total := 0
 		for inv := 0; inv < 30; inv++ {
@@ -175,7 +213,7 @@ func TestShuffleRoutingProperty(t *testing.T) {
 				in[i] = Tuple{Values: []Value{"k", i}}
 			}
 			got := 0
-			for _, b := range r.route(in, capSize) {
+			for _, b := range r.route(in) {
 				counts[b.Consumer] += len(b.Tuples)
 				got += len(b.Tuples)
 			}

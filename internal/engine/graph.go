@@ -62,18 +62,12 @@ func NewAcker() *Acker { return &Acker{pending: make(map[int64]int64)} }
 // Prepare implements Operator.
 func (a *Acker) Prepare(Context) {}
 
-// Process implements Operator: values are (root int64, xor int64). Ack
-// tuples from the native runtime carry the pair in the Root and Edge
-// fields instead (no boxed Values — the ack path is hot enough that two
-// interface allocations per ack message are measurable); an empty Values
-// slice selects that representation.
+// Process implements Operator. An ack tuple carries its (root, xor) pair
+// in the Root and Edge fields, not in boxed Values: the ack path is hot
+// enough that two interface allocations per ack are measurable.
 func (a *Acker) Process(_ Context, t Tuple) {
-	root, x := t.Root, t.Edge
-	if len(t.Values) >= 2 {
-		root = t.Values[0].(int64)
-		x = t.Values[1].(int64)
-	}
-	v := a.pending[root] ^ x
+	root := t.Root
+	v := a.pending[root] ^ t.Edge
 	if v == 0 {
 		delete(a.pending, root)
 		a.completed++

@@ -124,8 +124,8 @@ func HashFields(values []Value, idx []int) uint64 {
 	return acc
 }
 
-// hashAckRoot is HashFields for a Values-free native ack tuple: identical
-// to HashFields([]Value{root}, []int{0}) without boxing the root.
+// hashAckRoot is HashFields for a Values-free ack tuple: identical to
+// HashFields([]Value{root}, []int{0}) without boxing the root.
 func hashAckRoot(root int64) uint64 {
 	var acc uint64 = 1469598103934665603
 	return acc*1099511628211 ^ fnvU64(uint64(root))

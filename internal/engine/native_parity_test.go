@@ -8,9 +8,10 @@ import (
 // TestNativeMatchesSimCounts runs the same word-count topology through the
 // cycle-level simulator and the native runtime and checks they agree on
 // every count the two runtimes share: source events, sink events, acked
-// tuple trees, and per-operator input-tuple totals. This is the core
-// parity contract behind the simulator-validation loop — if the runtimes
-// diverge on *what* flows, comparing *how fast* it flows is meaningless.
+// tuple trees, and per-operator input-tuple totals (the acker's included).
+// This is the core parity contract behind the simulator-validation loop —
+// if the runtimes diverge on *what* flows, comparing *how fast* it flows
+// is meaningless.
 func TestNativeMatchesSimCounts(t *testing.T) {
 	// Topology shapes under test: the default word count, the same pipeline
 	// under a non-default parallelism vector (the shape the joint search's
@@ -61,9 +62,6 @@ func TestNativeMatchesSimCounts(t *testing.T) {
 				simOps := opTupleTotals(sim)
 				natOps := opTupleTotals(nat)
 				for op, want := range simOps {
-					if op == AckerName {
-						continue // acker batching differs; per-root completion is compared above
-					}
 					if got := natOps[op]; got != want {
 						t.Errorf("%s: operator %q input tuples sim %d native %d", name, op, want, got)
 					}
@@ -110,8 +108,8 @@ func TestHashValueMatchesFNV(t *testing.T) {
 			t.Errorf("fnvString(%q) = %#x, want %#x", s, got, want)
 		}
 	}
-	// hashAckRoot must equal HashFields over the boxed representation the
-	// simulator routes acks with, or native ack distribution would diverge.
+	// hashAckRoot must equal HashFields over the boxed root, the key the
+	// ack stream's fields grouping declares.
 	for _, root := range []int64{1, 77, 1 << 41, -9} {
 		if got, want := hashAckRoot(root), HashFields([]Value{root}, []int{0}); got != want {
 			t.Errorf("hashAckRoot(%d) = %#x, want HashFields %#x", root, got, want)

@@ -117,8 +117,8 @@ func TestRandomTopologySimNativeEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: sink events native %d != sim %d (seed %d)",
 				trial, nat.SinkEvents, sim.SinkEvents, seed)
 		}
-		// Per-operator tuple counts must match too (sinks tracked above;
-		// compare totals for every operator present in both runs).
+		// Per-operator input-tuple totals must match too, the acker's
+		// included.
 		natCounts := map[string]int64{}
 		for _, e := range nat.Executors {
 			natCounts[e.Op] += e.Tuples
@@ -128,12 +128,7 @@ func TestRandomTopologySimNativeEquivalence(t *testing.T) {
 			simCounts[e.Op] += e.Tuples
 		}
 		for op, n := range simCounts {
-			if op == AckerName || natCounts[op] == 0 && n == 0 {
-				continue
-			}
-			// Native runs do not track per-executor input tuples for
-			// non-sink operators; only compare where both have data.
-			if natCounts[op] != 0 && natCounts[op] != n {
+			if natCounts[op] != n {
 				t.Fatalf("trial %d: operator %s tuples native %d != sim %d", trial, op, natCounts[op], n)
 			}
 		}

@@ -14,13 +14,16 @@ type ExecStat struct {
 	Op     string
 	Index  int
 	Socket int // -1 when unplaced / native
-	// Tuples is the number of input tuples processed (source: emitted).
+	// Tuples is the number of input tuples processed (zero for sources).
 	Tuples int64
 	// MeanTupleMs is the mean processing time charged per tuple
 	// (simulated runtime only) — the paper's Fig 10 "process latency".
 	MeanTupleMs float64
 	// Invocations counts executor invocations (framework dispatches).
 	Invocations int64
+	// Barriers counts checkpoint barriers: injected by a source, aligned
+	// (snapshotted and forwarded) by any other executor.
+	Barriers int64
 	// Costs is this executor's share of the run's Table II cycle account
 	// (sim only). Summing Costs over Executors reproduces Profile.Costs;
 	// the placement cost model calibrates per-executor compute demand and

@@ -1,39 +1,36 @@
 package engine
 
 import (
-	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
-	"streamscale/internal/metrics"
+	"streamscale/internal/hw"
 	"streamscale/internal/ring"
+	"streamscale/internal/sim"
 )
 
-// The native runtime executes a topology with one goroutine per executor,
-// connected by the lock-free SPSC rings of internal/ring rather than Go
-// channels. Its data path is built around the same costs the paper's
-// profiling identified — message passing, acking, batching — so the
-// simulator's predicted effect ratios can be validated against real
-// hardware (internal/bench ValidateNative):
+// The native runtime runs the executor core (executor.go) with one
+// goroutine per executor, so the simulator's predicted effect ratios can be
+// validated against real hardware (internal/bench ValidateNative). Its
+// driver keeps only the transport, built around the costs the paper's
+// profiling identified:
 //
-//   - every producer→consumer executor pair owns a private SPSC ring;
-//     a consumer drains its rings round-robin through an MPSC front
-//   - batch slabs ([]Tuple) are recycled consumer→producer over a second
-//     tiny ring per pair, so steady-state transfer does not allocate
-//   - emit buffers are a stream-indexed array, ack accumulators are
-//     reused maps, Born timestamps are taken once per source invocation,
-//     and the sink clock is read only when the latency sampler fires
+//   - every producer→consumer executor pair owns a private SPSC ring
+//     (internal/ring); a consumer drains its rings through an MPSC front
+//   - batch slabs are recycled consumer→producer over a second tiny ring
+//     per pair, so steady-state transfer does not allocate
 //   - backpressure is credit-based: a producer facing a full ring parks
 //     on the ring's waiter and is woken by the consumer's next pop
-//   - operator chaining (chaining.go) optionally fuses forwardable
-//     operator pairs before the executor graph is built, removing the
-//     queue hop entirely
+//
+// The cost hook charges nothing: the work is real. Checkpoint barriers run
+// at the profile's CheckpointInterval read at the Table III clock (20 ms
+// for Flink).
 
 // NativeConfig configures a run on the native (goroutine) runtime.
 type NativeConfig struct {
-	// System selects the engine profile; only its acking/batching plumbing
-	// affects the native runtime (the cost model is simulation-only).
+	// System selects the engine profile; only its acking, batching and
+	// checkpointing affect the native runtime (the cost model is
+	// simulation-only).
 	System SystemProfile
 	// BatchSize is the source batch size S of the paper's §VI-A;
 	// 1 (or 0) disables batching.
@@ -64,26 +61,8 @@ type NativeConfig struct {
 	Chaining bool
 }
 
-// maxLatencySampleEvery caps the sampling period; beyond this a run simply
-// never samples, which is what an absurd config is asking for anyway.
-const maxLatencySampleEvery = 1 << 30
-
 func (c *NativeConfig) fill() {
-	if c.BatchSize <= 0 {
-		c.BatchSize = 1
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = c.System.QueueCap
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 1024
-	}
-	if c.LatencySampleEvery <= 0 {
-		c.LatencySampleEvery = 8
-	}
-	if c.LatencySampleEvery > maxLatencySampleEvery {
-		c.LatencySampleEvery = maxLatencySampleEvery
-	}
+	fillRun(&c.System, &c.BatchSize, &c.QueueCap, &c.LatencySampleEvery)
 }
 
 // RunNative executes the topology with real goroutines and lock-free ring
@@ -103,17 +82,37 @@ func RunNative(t *Topology, cfg NativeConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &nativeRuntime{cfg: cfg, topo: xt}
-	rt.build()
-	return rt.run(name)
-}
-
-type nativeRuntime struct {
-	cfg  NativeConfig
-	topo *Topology
-
-	execs []*nativeExec
-	byOp  map[string][]*nativeExec
+	iv := sim.Cycles(cfg.System.CheckpointInterval).Seconds(hw.TableIII().ClockHz)
+	execs := newExecutors(xt, &execConfig{
+		seed: cfg.Seed, batch: cfg.BatchSize, ack: cfg.System.AckEnabled,
+		rate: cfg.SourceRate, co: cfg.CoordinatedOmission,
+		sampleEvery: cfg.LatencySampleEvery, hz: 1e9, barrierIv: int64(iv * 1e9),
+	}, nil)
+	drivers := make([]*nativeDriver, len(execs))
+	for i, e := range execs {
+		drivers[i] = &nativeDriver{ex: e, out: make([]*nativeConn, len(execs)), slabCap: max(4*cfg.BatchSize, 16)}
+		if e.src == nil {
+			drivers[i].in = ring.NewMPSC[Msg]()
+		}
+		e.port, e.cost = drivers[i], freeWork{e}
+	}
+	// Ring sizing: QueueCap is the consumer's total message budget, split
+	// across its subscriptions' producer executors.
+	for _, d := range drivers {
+		for _, edges := range d.ex.edges {
+			for _, ed := range edges {
+				for _, to := range ed.to {
+					if d.out[to] == nil {
+						d.out[to] = d.link(drivers[to], cfg.QueueCap/drivers[to].ex.nProducers)
+					}
+				}
+			}
+		}
+	}
+	res := runNative(drivers)
+	res.App, res.System = name, cfg.System.Name
+	summarize(res, execs)
+	return res, nil
 }
 
 // nativeConn is one producer-executor → consumer-executor link: a data
@@ -122,169 +121,20 @@ type nativeRuntime struct {
 // by construction (each conn belongs to exactly one producer goroutine and
 // one consumer goroutine), which is what lets the rings stay lock-free.
 type nativeConn struct {
-	to   *nativeExec
 	data *ring.SPSC[Msg]
 	free *ring.SPSC[[]Tuple]
 }
 
-// nativeEdge routes one producer stream to one consumer subscription.
-// pending holds the open (unsent) batch per consumer executor; a batch is
-// sealed and pushed when it reaches batchCap or at the invocation end —
-// the paper's non-blocking batching, nothing is held across invocations.
-type nativeEdge struct {
-	stream   string
-	kind     GroupKind
-	fieldIdx []int // resolved key indices for fields grouping
-	system   bool  // consumer is a system node (acker): no ack tracking
-	batchCap int   // max tuples per delivered batch (<=0: unbounded)
-	rr       int   // shuffle round-robin cursor, persists across invocations
-	conns    []*nativeConn
-	pending  [][]Tuple
-}
-
-type nativeExec struct {
-	rt     *nativeRuntime
-	node   *Node
-	index  int
-	global int
-
-	op  Operator
-	src Source
+// nativeDriver runs one executor on its own goroutine and is its
+// transport.
+type nativeDriver struct {
+	ex *executor
 
 	in      *ring.MPSC[Msg]
-	inConns []*nativeConn // parallel to in's lanes; run ends after one EOS per lane
-
-	outConns []*nativeConn       // distinct downstream executors (one EOS each)
-	connFor  map[int]*nativeConn // consumer global index → conn
-	edges    [][]*nativeEdge     // indexed by out-stream position in node.Streams
-	ackIdx   int                 // position of AckStream in node.Streams, -1 if none
-
-	// buffers collects the current invocation's emissions per out stream
-	// (stream-indexed array, not a map: EmitTo is the hottest user call).
-	buffers [][]Tuple
-	emitted int // tuples emitted this invocation (batch-target counter)
-
-	rng     *rand.Rand
-	latency *metrics.Histogram
-	isSink  bool
-
-	// Per-executor counters, summed after the run (no hot-path atomics).
-	srcEvents   int64
-	sinkN       int64
-	tuples      int64 // input tuples processed (sim ExecStat parity)
-	invocations int64
-	rootSeq     int64 // per-source root counter; IDs are global<<40|seq
-	born        int64 // coarse Born stamp, one clock read per invocation
-	sampleIn    int   // countdown to the next latency sample
-
-	// Open-loop pacing state (SourceRate > 0). nextEmitNs is the wall
-	// instant the next invocation may start; bornSched/bornStep hold the
-	// intended-arrival schedule each emitted tuple is stamped with
-	// (coordinated-omission correction). bornStep == 0 means unpaced.
-	nextEmitNs int64
-	bornSched  float64
-	bornStep   float64
-
-	ctx      *nativeCtx
-	ackAccum []ackPair // per-invocation XOR accumulator, reused
-}
-
-// ackPair is one root's running XOR for the current invocation. A slice
-// with linear search beats a map here: an invocation touches at most a
-// batch's worth of distinct roots, and the slice iterates in insertion
-// order without hashing.
-type ackPair struct{ root, xor int64 }
-
-func (rt *nativeRuntime) build() {
-	rt.byOp = make(map[string][]*nativeExec)
-	global := 0
-	for _, n := range rt.topo.Nodes() {
-		for i := 0; i < n.Parallelism; i++ {
-			e := &nativeExec{
-				rt: rt, node: n, index: i, global: global,
-				rng:      rand.New(rand.NewSource(rt.cfg.Seed + int64(global)*7919 + 1)),
-				latency:  metrics.NewHistogram(1 << 14),
-				buffers:  make([][]Tuple, len(n.Streams)),
-				edges:    make([][]*nativeEdge, len(n.Streams)),
-				ackIdx:   -1,
-				connFor:  make(map[int]*nativeConn),
-				sampleIn: rt.cfg.LatencySampleEvery,
-			}
-			for si := range n.Streams {
-				if n.Streams[si].Name == AckStream {
-					e.ackIdx = si
-				}
-			}
-			if n.IsSource() {
-				e.src = n.NewSource()
-			} else {
-				e.op = n.NewOp()
-				e.in = ring.NewMPSC[Msg]()
-			}
-			e.isSink = isSink(n)
-			rt.execs = append(rt.execs, e)
-			rt.byOp[n.Name] = append(rt.byOp[n.Name], e)
-			global++
-		}
-	}
-
-	// Ring sizing: QueueCap is the consumer's total message budget, split
-	// across its distinct producer executors (each of which gets its own
-	// SPSC lane). Count distinct producer *nodes* once even when several
-	// streams connect the same pair.
-	producerExecs := make(map[string]int)
-	for _, n := range rt.topo.Nodes() {
-		seen := make(map[string]bool)
-		for _, ed := range rt.topo.Consumers(n.Name) {
-			if !seen[ed.Consumer.Name] {
-				seen[ed.Consumer.Name] = true
-				producerExecs[ed.Consumer.Name] += n.Parallelism
-			}
-		}
-	}
-
-	for _, n := range rt.topo.Nodes() {
-		for _, ed := range rt.topo.Consumers(n.Name) {
-			ss, _ := n.OutStream(ed.Sub.Stream)
-			si := streamIndex(n.Streams, ed.Sub.Stream)
-			var fieldIdx []int
-			if ed.Sub.Group.Kind == GroupFields {
-				fieldIdx = FieldIndices(ss, ed.Sub.Group.Fields)
-			}
-			batchCap := 4 * rt.cfg.BatchSize
-			if ed.Sub.Stream == AckStream {
-				batchCap = 0 // ack batches may grow within an invocation
-			}
-			for _, pe := range rt.byOp[n.Name] {
-				ne := &nativeEdge{
-					stream:   ed.Sub.Stream,
-					kind:     ed.Sub.Group.Kind,
-					fieldIdx: fieldIdx,
-					system:   ed.Consumer.System,
-					batchCap: batchCap,
-				}
-				for _, ce := range rt.byOp[ed.Consumer.Name] {
-					ne.conns = append(ne.conns, pe.connTo(ce, producerExecs[ce.node.Name]))
-				}
-				ne.pending = make([][]Tuple, len(ne.conns))
-				pe.edges[si] = append(pe.edges[si], ne)
-			}
-		}
-	}
-
-	// Pre-fill every free ring to capacity: the slab arena is allocated
-	// once here, at build time, so steady-state transfer allocates nothing
-	// even before the first recycled slab comes back.
-	slabCap := 4 * rt.cfg.BatchSize
-	if slabCap < 16 {
-		slabCap = 16
-	}
-	for _, e := range rt.execs {
-		for _, c := range e.outConns {
-			for c.free.TryPush(make([]Tuple, 0, slabCap)) {
-			}
-		}
-	}
+	inConns []*nativeConn // parallel to in's lanes
+	out     []*nativeConn // by consumer global index; nil if not linked
+	slabCap int
+	born    int64 // the last clock reading
 }
 
 // maxConnMsgs caps one producer→consumer ring's depth. Beyond a few dozen
@@ -292,15 +142,10 @@ func (rt *nativeRuntime) build() {
 // a consumer that far behind needs backpressure, not buffer.
 const maxConnMsgs = 64
 
-// connTo returns (creating on first use) the producer→consumer link. Each
-// distinct executor pair gets exactly one conn regardless of how many
-// streams or subscriptions connect the operators, so EOS accounting is
-// one marker per pair.
-func (e *nativeExec) connTo(ce *nativeExec, producers int) *nativeConn {
-	if c, ok := e.connFor[ce.global]; ok {
-		return c
-	}
-	capMsgs := e.rt.cfg.QueueCap / producers
+// link creates the producer→consumer conn for one executor pair. Each
+// pair gets exactly one conn regardless of how many streams or
+// subscriptions connect the operators.
+func (d *nativeDriver) link(ce *nativeDriver, capMsgs int) *nativeConn {
 	if capMsgs < 2 {
 		capMsgs = 2
 	}
@@ -310,440 +155,113 @@ func (e *nativeExec) connTo(ce *nativeExec, producers int) *nativeConn {
 	// The free ring matches the data ring's capacity: every slab that can
 	// be in flight has a recycling slot, so a lagging consumer never
 	// forces the producer to allocate (slabs overflowing it go to GC).
+	// It is pre-filled: the slab arena is allocated here, at build time.
 	c := &nativeConn{
-		to:   ce,
 		data: ce.in.AddProducer(capMsgs),
 		free: ring.NewSPSC[[]Tuple](capMsgs, nil),
 	}
+	for c.free.TryPush(make([]Tuple, 0, d.slabCap)) {
+	}
 	ce.inConns = append(ce.inConns, c) // same order as the MPSC lanes
-	e.connFor[ce.global] = c
-	e.outConns = append(e.outConns, c)
 	return c
 }
 
-func streamIndex(streams []StreamSpec, name string) int {
-	for i := range streams {
-		if streams[i].Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// isSink reports whether a node has no user output streams.
-func isSink(n *Node) bool {
-	for _, s := range n.Streams {
-		if s.Name != AckStream {
-			return false
-		}
-	}
-	return !n.System
-}
-
-func (rt *nativeRuntime) run(app string) (*Result, error) {
+// runNative runs every driver on its own goroutine until the pipeline has
+// drained, and times it.
+//
+//dsplint:wallclock
+func runNative(drivers []*nativeDriver) *Result {
 	start := time.Now()
 	var wg sync.WaitGroup
-	for _, e := range rt.execs {
+	for _, d := range drivers {
 		wg.Add(1)
-		go func(e *nativeExec) {
+		go func(d *nativeDriver) {
 			defer wg.Done()
-			e.loop()
-		}(e)
+			d.run(start.UnixNano())
+		}(d)
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
-
-	res := &Result{
-		App:            app,
-		System:         rt.cfg.System.Name,
-		ElapsedSeconds: elapsed,
-		WallSeconds:    elapsed,
-		Latency:        metrics.NewHistogram(1 << 16),
-	}
-	for _, e := range rt.execs {
-		res.SourceEvents += e.srcEvents
-		res.SinkEvents += e.sinkN
-		// Exact bucket-count merge (no sampled observation dropped).
-		res.Latency.Merge(e.latency)
-		res.Executors = append(res.Executors, ExecStat{
-			Op: e.node.Name, Index: e.index, Socket: -1,
-			Tuples: e.tuples, Invocations: e.invocations,
-		})
-		if a, ok := e.op.(*Acker); ok {
-			res.AckerCompleted += a.Completed()
-		}
-	}
-	return res, nil
+	return &Result{ElapsedSeconds: elapsed, WallSeconds: elapsed}
 }
 
-// loop is one executor goroutine: sources run invocation after invocation
-// until exhausted; operators pop batches from the MPSC front until every
-// input lane has delivered its EOS marker.
+// run is one executor goroutine: a source runs invocation after
+// invocation until exhausted, an operator pops batches from its MPSC
+// front until every producer has sent end of stream.
 //
 //dsp:hotpath
-func (e *nativeExec) loop() {
-	e.ctx = &nativeCtx{ex: e} //dsplint:ignore hotalloc one context per executor per run, allocated before the first tuple moves
-	if e.src != nil {
-		e.src.Prepare(e.ctx)
-		for e.sourceInvocation() {
+func (d *nativeDriver) run(epoch int64) {
+	ex := d.ex
+	ex.prepare(epoch)
+	if ex.src != nil {
+		for ex.sourceStep(d.pace()) {
 		}
-		e.finish()
-		return
-	}
-	e.op.Prepare(e.ctx)
-	live := len(e.inConns)
-	for live > 0 {
-		msg, lane := e.in.Pop()
-		if msg.EOS {
-			live--
-			continue
+	} else {
+		for !ex.drained() {
+			msg, lane := d.in.Pop()
+			ex.handle(msg)
+			if msg.Batch != nil {
+				// The operator got its tuples by value, so the slab can go
+				// back to the producer; if the free ring is full it goes
+				// to GC.
+				clear(msg.Batch)
+				d.inConns[lane].free.TryPush(msg.Batch[:0])
+			}
 		}
-		e.processBatch(msg, lane)
 	}
-	e.finish()
+	d.now()
+	ex.finish()
 }
 
-// sourceInvocation emits up to BatchSize tuples; returns false at EOS.
-// One clock read stamps every tuple born this invocation (coarse Born):
-// at batch sizes worth measuring, per-tuple timestamps are themselves a
-// measurable cost, exactly the effect the runtime exists to quantify.
-// Under SourceRate the invocation first sleeps until its scheduled start,
-// then advances the schedule by the events actually emitted — identical
-// open-loop semantics to the simulator's nextEmit pacing.
+// pace reads the clock at the start of a source invocation and, under
+// SourceRate, sleeps until the invocation's scheduled start.
 //
-//dsp:hotpath
 //dsplint:wallclock
-func (e *nativeExec) sourceInvocation() bool {
-	e.invocations++
-	now := time.Now().UnixNano()
-	rate := e.rt.cfg.SourceRate
-	if rate > 0 {
-		if e.bornStep == 0 {
-			e.nextEmitNs = now
-			e.bornSched = float64(now)
-			e.bornStep = 1e9 / rate
-		}
-		for now < e.nextEmitNs {
-			time.Sleep(time.Duration(e.nextEmitNs - now))
-			now = time.Now().UnixNano()
-		}
+func (d *nativeDriver) pace() int64 {
+	now := d.now()
+	for now < d.ex.nextEmit {
+		time.Sleep(time.Duration(d.ex.nextEmit - now))
+		now = d.now()
 	}
-	e.born = now
-	before := e.srcEvents
-	e.emitted = 0
-	alive := true
-	for e.emitted < e.rt.cfg.BatchSize && alive {
-		alive = e.src.Next(e.ctx)
-	}
-	if rate > 0 {
-		e.nextEmitNs += int64(float64(e.srcEvents-before) * e.bornStep)
-	}
-	e.endInvocation()
-	return alive
+	return now
 }
 
-// processBatch runs the operator over one popped batch, accumulating acks
-// and sink observations inline, then recycles the slab and seals the
-// invocation's output batches.
+// now reads the wall clock in nanoseconds.
 //
-//dsp:hotpath
-func (e *nativeExec) processBatch(msg Msg, lane int) {
-	e.invocations++
-	e.tuples += int64(len(msg.Batch))
-	ack := e.ackTracking()
-	for i := range msg.Batch {
-		t := &msg.Batch[i]
-		e.ctx.curInput = t
-		e.ctx.inOp, e.ctx.inStream = msg.FromOp, msg.Stream
-		if ack {
-			e.accumAck(t.Root, t.Edge)
-		}
-		if e.isSink {
-			e.observeSink(t)
-		}
-		e.op.Process(e.ctx, *t)
-	}
-	e.ctx.curInput = nil
-	e.recycle(lane, msg.Batch)
-	e.endInvocation()
-}
-
-// recycle clears a drained batch slab and offers it back to the producer.
-// Tuples were handed to the operator by value, so dropping the slab's
-// references here is safe; if the free ring is full the slab goes to GC.
-//
-//dsp:hotpath
-func (e *nativeExec) recycle(lane int, batch []Tuple) {
-	if batch == nil {
-		return
-	}
-	clear(batch)
-	e.inConns[lane].free.TryPush(batch[:0])
-}
-
-func (e *nativeExec) ackTracking() bool {
-	return e.rt.cfg.System.AckEnabled && !e.node.System
-}
-
-// accumAck folds one (root, edge) pair into the invocation's XOR
-// accumulator; linear search over the reused slice, no hashing.
-//
-//dsp:hotpath
-func (e *nativeExec) accumAck(root, edge int64) {
-	if root == 0 {
-		return // unanchored tuple tree
-	}
-	for i := range e.ackAccum {
-		if e.ackAccum[i].root == root {
-			e.ackAccum[i].xor ^= edge
-			return
-		}
-	}
-	e.ackAccum = append(e.ackAccum, ackPair{root: root, xor: edge})
-}
-
-// observeSink counts the tuple and samples end-to-end latency on a
-// countdown — the clock is read only when the sampler actually fires.
-//
-//dsp:hotpath
 //dsplint:wallclock
-func (e *nativeExec) observeSink(t *Tuple) {
-	e.sinkN++
-	e.sampleIn--
-	if e.sampleIn <= 0 {
-		e.sampleIn = e.rt.cfg.LatencySampleEvery
-		e.latency.Observe(float64(time.Now().UnixNano()-t.Born) / 1e6)
-	}
+func (d *nativeDriver) now() int64 {
+	d.born = time.Now().UnixNano()
+	return d.born
 }
 
-// endInvocation implements the non-blocking batching boundary: everything
-// emitted during this invocation is routed into per-consumer batches and
-// delivered now — nothing is held back for a later flush.
-//
-//dsp:hotpath
-func (e *nativeExec) endInvocation() {
-	for si := range e.buffers {
-		if si != e.ackIdx && len(e.buffers[si]) > 0 {
-			e.routeStream(si)
-		}
-	}
-	e.flushAcks()
-}
+// stamp is the coarse Born clock: the last reading, taken once per source
+// invocation (per-tuple timestamps would themselves be a measurable cost).
+func (d *nativeDriver) stamp() int64 { return d.born }
 
-// routeStream routes one stream's emit buffer over all its edges, seals
-// every open batch, and resets the buffer for reuse.
-//
-//dsp:hotpath
-func (e *nativeExec) routeStream(si int) {
-	buf := e.buffers[si]
-	for _, ed := range e.edges[si] {
-		e.routeTo(ed, buf)
-		for ci := range ed.pending {
-			if len(ed.pending[ci]) > 0 {
-				e.send(ed, ci)
-			}
-		}
-	}
-	clear(buf) // drop Tuple references; the backing array is reused
-	e.buffers[si] = buf[:0]
-}
-
-// routeTo appends each tuple of buf to the edge's open per-consumer batch
-// according to the grouping, matching the simulated runtime's semantics
-// (persistent shuffle cursor, FNV fields hash, executor 0 for global,
-// replication for all).
-//
-//dsp:hotpath
-func (e *nativeExec) routeTo(ed *nativeEdge, buf []Tuple) {
-	n := len(ed.conns)
-	if n == 1 && ed.kind != GroupAll {
-		// One consumer executor: every grouping degenerates to "send it".
-		for i := range buf {
-			e.deliver(ed, 0, buf[i])
-		}
-		return
-	}
-	switch ed.kind {
-	case GroupShuffle:
-		for i := range buf {
-			e.deliver(ed, ed.rr, buf[i])
-			ed.rr++
-			if ed.rr == n {
-				ed.rr = 0
-			}
-		}
-	case GroupFields:
-		for i := range buf {
-			var h uint64
-			if len(buf[i].Values) == 0 {
-				// Values-free native ack tuple: the key is the root, and
-				// the hash must match what the sim computes for the same
-				// field (HashFields over a single int64 root value).
-				h = hashAckRoot(buf[i].Root)
-			} else {
-				h = HashFields(buf[i].Values, ed.fieldIdx)
-			}
-			ci := int(h % uint64(n))
-			e.deliver(ed, ci, buf[i])
-		}
-	case GroupGlobal:
-		for i := range buf {
-			e.deliver(ed, 0, buf[i])
-		}
-	case GroupAll:
-		for ci := 0; ci < n; ci++ {
-			for i := range buf {
-				e.deliver(ed, ci, buf[i])
-			}
-		}
-	default:
-		//dsplint:ignore hotalloc fatal-error path, never taken in steady state
-		panic(fmt.Sprintf("engine: unknown grouping %v", ed.kind))
-	}
-}
-
-// deliver stamps the tuple's anchor edge (Storm XOR tracking assigns a
-// fresh edge ID per delivered copy), appends it to the consumer's open
-// batch, and seals the batch when it reaches the edge's cap.
-//
-//dsp:hotpath
-func (e *nativeExec) deliver(ed *nativeEdge, ci int, t Tuple) {
-	if !ed.system && t.Root != 0 && e.ackTracking() {
-		edge := e.rng.Int63()
-		t.Edge = edge
-		e.accumAck(t.Root, edge)
-	}
-	p := ed.pending[ci]
-	if p == nil {
-		p = e.newSlab(ed.conns[ci], ed.batchCap)
-	}
-	p = append(p, t)
-	ed.pending[ci] = p
-	if ed.batchCap > 0 && len(p) >= ed.batchCap {
-		e.send(ed, ci)
-	}
-}
-
-// newSlab reuses a recycled batch slab from the conn's free ring when one
-// is available, else allocates.
-func (e *nativeExec) newSlab(c *nativeConn, batchCap int) []Tuple {
-	if s, ok := c.free.TryPop(); ok {
+// slab reuses a recycled batch slab from the conn's free ring when one is
+// available, else allocates.
+func (d *nativeDriver) slab(to int) []Tuple {
+	if s, ok := d.out[to].free.TryPop(); ok {
 		return s
 	}
-	if batchCap <= 0 {
-		batchCap = 16
-	}
-	return make([]Tuple, 0, batchCap)
+	return make([]Tuple, 0, d.slabCap)
 }
 
-// send seals the open batch for one consumer and pushes it, blocking (and
-// eventually parking) when the ring is full: this is where backpressure
-// propagates upstream.
+// freeWork is the native cost hook: the work is real, so nothing is
+// charged.
+type freeWork struct{ ex *executor }
+
+func (f freeWork) process(t *Tuple)  { f.ex.processTuple(t) }
+func (freeWork) invoke(Msg)          {}
+func (freeWork) emit(*Tuple, bool)   {}
+func (freeWork) barrier(int64, bool) {}
+func (freeWork) work(int, int)       {}
+func (freeWork) accessState(int)     {}
+func (freeWork) scanState(int)       {}
+func (freeWork) scanScratch(int)     {}
+
+// send pushes one message, blocking (and eventually parking) when the
+// ring is full: this is where backpressure propagates upstream.
 //
 //dsp:hotpath
-func (e *nativeExec) send(ed *nativeEdge, ci int) {
-	ed.conns[ci].data.Push(Msg{
-		FromGlobal: e.global, FromOp: e.node.Name,
-		Stream: ed.stream, Batch: ed.pending[ci],
-	})
-	ed.pending[ci] = nil
-}
-
-// flushAcks turns the invocation's XOR accumulator into ack tuples on the
-// __ack stream and routes them to the acker. Native ack tuples carry the
-// (root, xor) pair in the Root and Edge fields — no boxed Values (the
-// Acker accepts both representations). The accumulator is truncated and
-// reused, never reallocated.
-//
-//dsp:hotpath
-func (e *nativeExec) flushAcks() {
-	if e.ackIdx < 0 || len(e.ackAccum) == 0 {
-		return
-	}
-	buf := e.buffers[e.ackIdx]
-	for _, p := range e.ackAccum {
-		buf = append(buf, Tuple{Root: p.root, Edge: p.xor})
-	}
-	e.buffers[e.ackIdx] = buf
-	e.ackAccum = e.ackAccum[:0]
-	e.routeStream(e.ackIdx)
-}
-
-// finish drains buffered operator state and sends one EOS marker to every
-// downstream executor this one is connected to.
-func (e *nativeExec) finish() {
-	if f, ok := e.op.(Flusher); ok {
-		e.ctx.curInput = nil
-		e.born = time.Now().UnixNano()
-		f.Flush(e.ctx)
-		e.endInvocation()
-	}
-	for _, c := range e.outConns {
-		c.data.Push(Msg{FromGlobal: e.global, FromOp: e.node.Name, EOS: true})
-	}
-}
-
-// nativeCtx implements Context for the native runtime.
-type nativeCtx struct {
-	ex       *nativeExec
-	curInput *Tuple
-	inOp     string
-	inStream string
-}
-
-// Emit forwards to EmitTo on the default stream.
-//
-//dsp:hotpath
-func (c *nativeCtx) Emit(values ...Value) { c.EmitTo(DefaultStream, values...) }
-
-// EmitTo appends a tuple to the stream's emit buffer — the hottest
-// user-facing call in the runtime (every operator output passes through).
-//
-//dsp:hotpath
-func (c *nativeCtx) EmitTo(stream string, values ...Value) {
-	e := c.ex
-	si := streamIndex(e.node.Streams, stream)
-	if si < 0 {
-		//dsplint:ignore hotalloc fatal-error path, never taken in steady state
-		panic(fmt.Sprintf("engine: %q emits to undeclared stream %q", e.node.Name, stream))
-	}
-	t := Tuple{Values: values, Size: int32(TupleBytes(values))}
-	if c.curInput != nil {
-		t.Born = c.curInput.Born
-		t.Root = c.curInput.Root
-	} else {
-		t.Born = e.born
-		if e.node.IsSource() {
-			if e.bornStep != 0 && !e.rt.cfg.CoordinatedOmission && stream != AckStream {
-				// Open-loop: stamp the scheduled emission instant so
-				// backpressure stalls at the throttled source stay inside
-				// the measured latency (coordinated-omission correction).
-				t.Born = int64(e.bornSched)
-				e.bornSched += e.bornStep
-			}
-			// Per-executor root sequence: unique across executors without
-			// a shared atomic counter.
-			e.rootSeq++
-			t.Root = int64(e.global+1)<<40 | e.rootSeq
-		}
-		// Non-source emissions without an input anchor (e.g. Flush) are
-		// unanchored, as in Storm: Root stays 0 and is never ack-tracked.
-	}
-	e.emitted++
-	if e.node.IsSource() && stream != AckStream {
-		e.srcEvents++
-	}
-	e.buffers[si] = append(e.buffers[si], t)
-}
-
-func (c *nativeCtx) ExecutorID() int  { return c.ex.index }
-func (c *nativeCtx) Parallelism() int { return c.ex.node.Parallelism }
-func (c *nativeCtx) OperatorName() string {
-	return c.ex.node.Name
-}
-func (c *nativeCtx) Work(uops, branches int) {}
-func (c *nativeCtx) AccessState(bytes int)   {}
-func (c *nativeCtx) ScanState(bytes int)     {}
-func (c *nativeCtx) ScanScratch(bytes int)   {}
-func (c *nativeCtx) Rand() *rand.Rand        { return c.ex.rng }
-func (c *nativeCtx) Input() (string, string) { return c.inOp, c.inStream }
+func (d *nativeDriver) send(to int, m Msg) { d.out[to].data.Push(m) }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -319,3 +320,113 @@ func (c *chanRefCtx) ScanState(bytes int)     {}
 func (c *chanRefCtx) ScanScratch(bytes int)   {}
 func (c *chanRefCtx) Rand() *rand.Rand        { return c.ex.rng }
 func (c *chanRefCtx) Input() (string, string) { return "", "" }
+
+// The channel runtime's router, kept as it was when the runtime was frozen.
+
+// AddressedBatch is a batch of tuples routed to one consumer executor.
+type AddressedBatch struct {
+	Consumer int // consumer executor index within the consumer operator
+	Tuples   []Tuple
+}
+
+// edgeRouter routes one producer stream to one consumer subscription,
+// implementing the paper's non-blocking tuple batching (Algorithm 1): all
+// tuples emitted during a single invocation are grouped into per-consumer
+// batches and emitted at the end of the invocation — no cross-invocation
+// buffering, hence no added buffering delay.
+type edgeRouter struct {
+	group     Grouping
+	consumers int
+	fieldIdx  []int // resolved key field indices for fields grouping
+	rr        int   // rotating block cursor for shuffle grouping
+}
+
+func newEdgeRouter(producer StreamSpec, sub Subscription, consumers int) *edgeRouter {
+	r := &edgeRouter{group: sub.Group, consumers: consumers}
+	if sub.Group.Kind == GroupFields {
+		r.fieldIdx = FieldIndices(producer, sub.Group.Fields)
+	}
+	return r
+}
+
+// route partitions the tuples of one invocation into addressed batches of
+// at most batchCap tuples each (batchCap <= 0 means unbounded). Fields
+// grouping follows Algorithm 1: the new key is the hash of the combined
+// grouping attributes modulo the consumer count, so tuples sharing original
+// keys always share a destination, while tuples with different keys that
+// map to the same destination ride the same batch.
+func (r *edgeRouter) route(tuples []Tuple, batchCap int) []AddressedBatch {
+	if len(tuples) == 0 {
+		return nil
+	}
+	switch r.group.Kind {
+	case GroupShuffle:
+		return r.routeShuffle(tuples, batchCap)
+	case GroupFields:
+		return r.routeFields(tuples, batchCap)
+	case GroupGlobal:
+		return capBatches(0, tuples, batchCap)
+	case GroupAll:
+		var out []AddressedBatch
+		for c := 0; c < r.consumers; c++ {
+			cp := make([]Tuple, len(tuples))
+			copy(cp, tuples)
+			out = append(out, capBatches(c, cp, batchCap)...)
+		}
+		return out
+	}
+	panic(fmt.Sprintf("engine: unknown grouping %v", r.group.Kind))
+}
+
+// routeShuffle assigns tuples round-robin across consumers (the cursor
+// persists between invocations, so cumulative imbalance never exceeds one
+// tuple) and emits each consumer's share as a batch.
+func (r *edgeRouter) routeShuffle(tuples []Tuple, batchCap int) []AddressedBatch {
+	groups := make([][]Tuple, r.consumers)
+	for _, t := range tuples {
+		groups[r.rr] = append(groups[r.rr], t)
+		r.rr = (r.rr + 1) % r.consumers
+	}
+	var out []AddressedBatch
+	for c, g := range groups {
+		if len(g) > 0 {
+			out = append(out, capBatches(c, g, batchCap)...)
+		}
+	}
+	return out
+}
+
+// routeFields is Algorithm 1. The multi-valued hash map is keyed by
+// newkey = hash(combined grouping attributes) mod consumers.
+func (r *edgeRouter) routeFields(tuples []Tuple, batchCap int) []AddressedBatch {
+	cache := make(map[int][]Tuple) // the HashMultimap of Algorithm 1
+	for _, t := range tuples {
+		newkey := int(HashFields(t.Values, r.fieldIdx) % uint64(r.consumers))
+		cache[newkey] = append(cache[newkey], t)
+	}
+	keys := make([]int, 0, len(cache))
+	for k := range cache {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys) // deterministic emission order
+	var out []AddressedBatch
+	for _, k := range keys {
+		out = append(out, capBatches(k, cache[k], batchCap)...)
+	}
+	return out
+}
+
+func capBatches(consumer int, tuples []Tuple, batchCap int) []AddressedBatch {
+	if batchCap <= 0 || len(tuples) <= batchCap {
+		return []AddressedBatch{{Consumer: consumer, Tuples: tuples}}
+	}
+	var out []AddressedBatch
+	for i := 0; i < len(tuples); i += batchCap {
+		end := i + batchCap
+		if end > len(tuples) {
+			end = len(tuples)
+		}
+		out = append(out, AddressedBatch{Consumer: consumer, Tuples: tuples[i:end]})
+	}
+	return out
+}

@@ -231,14 +231,10 @@ func TestNativeEmitToUndeclaredStreamPanics(t *testing.T) {
 			t.Fatal("emit to undeclared stream did not panic")
 		}
 	}()
-	// Run on the calling goroutine path far enough to trigger the panic:
-	// the source's first Next panics inside a worker goroutine, so instead
-	// invoke the context directly.
-	rt := &nativeRuntime{cfg: NativeConfig{System: Flink(), BatchSize: 1, QueueCap: 8, LatencySampleEvery: 16}, topo: mustExec(topo, Flink())}
-	rt.build()
-	src := rt.byOp["src"][0]
-	src.ctx = &nativeCtx{ex: src}
-	src.ctx.EmitTo("nosuch", "x")
+	// The source's first Next panics inside a worker goroutine, so
+	// instead call the source executor's context directly.
+	execs := newExecutors(mustExec(topo, Flink()), &execConfig{batch: 1, sampleEvery: 16}, nil)
+	execs[0].EmitTo("nosuch", "x")
 }
 
 type badSource struct{}
@@ -292,7 +288,7 @@ func TestBuildExecTopologyAckerWiring(t *testing.T) {
 func TestAckerXORSemantics(t *testing.T) {
 	a := NewAcker()
 	emit := func(root, x int64) {
-		a.Process(nil, Tuple{Values: []Value{root, x}})
+		a.Process(nil, Tuple{Root: root, Edge: x})
 	}
 	// Root 1: edges 5 and 9 each reported twice -> completes.
 	emit(1, 5)

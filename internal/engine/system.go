@@ -65,7 +65,8 @@ type SystemProfile struct {
 	DeliveryUopsPerByte float64
 
 	// CheckpointInterval injects Flink-style checkpoint barriers from the
-	// sources every interval of simulated time (0 disables).
+	// sources every interval of simulated time (0 disables); the native
+	// runtime reads it at the Table III clock.
 	CheckpointInterval sim.Cycles
 	// SnapshotUopsPerStateByte is the cost of snapshotting operator state
 	// at a barrier.

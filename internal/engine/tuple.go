@@ -4,11 +4,12 @@
 // (per-operator executor counts with grouping strategies), and a JVM-style
 // runtime (garbage-collected tuple allocation, pointer-chasing data access).
 //
-// A Topology is a graph of operators built with NewTopology. It can execute
-// on two runtimes: RunNative uses real goroutines and channels and measures
-// wall-clock performance; RunSim executes the same operators on a simulated
-// multi-socket machine (internal/sim + internal/hw) and produces the
-// cycle-accurate breakdowns of the paper's methodology.
+// A Topology is a graph of operators built with NewTopology. One executor
+// core (executor.go) runs it on two runtimes: RunNative uses real
+// goroutines and lock-free rings and measures wall-clock performance;
+// RunSim executes the same operators on a simulated multi-socket machine
+// (internal/sim + internal/hw) and produces the cycle-accurate breakdowns
+// of the paper's methodology.
 package engine
 
 import (
