@@ -8,6 +8,12 @@ cd "$(dirname "$0")"
 
 go build ./...
 go vet ./...
+# perfbench is a module of its own (it replaces streamscale with the parent
+# directory), so the root build and vet never compile it: vet it here, so a
+# change to an API it uses breaks CI rather than the benchmark run.
+(cd perfbench && go vet ./...)
+# Formatting gate: every Go file in both modules is gofmt-clean.
+test -z "$(gofmt -l .)" || { echo "ci: gofmt -l reports unformatted files:" >&2; gofmt -l . >&2; exit 1; }
 # dsplint enforces the repo-specific invariants (determinism, cycle
 # accounting, hot-path allocation discipline, and the lock-free concurrency
 # discipline); see DESIGN.md "Machine-checked invariants" and "Concurrency

@@ -100,6 +100,7 @@ func main() {
 			cell.EventScale = float64(*events) / float64(def)
 		}
 	}
+	var jointCounts benchJointStats
 	if *joint {
 		if *sockets != 4 {
 			fail(fmt.Errorf("-joint plans on the calibrated 4-socket machine; run with -sockets 4"))
@@ -113,8 +114,9 @@ func main() {
 		if len(js.Winner.Override) > 0 {
 			cell.ParallelismOverride = js.Winner.Override
 		}
+		jointCounts = benchJointStats{Screened: js.Validation.Screened, Verified: js.Validation.Verified}
 		fmt.Printf("joint: %d vector(s) screened, %d searched, %d verified; winner %s (%+.1f%% vs placement-only)\n",
-			js.VectorsScreened, js.VectorsSearched, len(js.Verified), js.ParString(),
+			js.Validation.Screened, js.VectorsSearched, js.Validation.Verified, js.ParString(),
 			(js.Throughput/js.FixedThroughput-1)*100)
 	}
 	if *placeOpt {
@@ -125,7 +127,7 @@ func main() {
 			fail(err)
 			cell.Placement = bench.PlacementMap(ps.Winner)
 			fmt.Printf("placement: model-guided search, k=%d, %d plans ranked, %d verified, best %.1f k events/s\n",
-				ps.WinnerK, ps.Scored, len(ps.Verified), ps.Throughput/1e3)
+				ps.WinnerK, ps.Validation.Screened, ps.Validation.Verified, ps.Throughput/1e3)
 		} else {
 			topo, err := cell.Topology()
 			fail(err)
@@ -200,7 +202,7 @@ func main() {
 		fmt.Printf("\n%s\n", res.Profile.String())
 	}
 	if *jsonOut {
-		name, err := writeBenchJSON(cell, res)
+		name, err := writeBenchJSON(cell, res, jointCounts)
 		fail(err)
 		fmt.Fprintln(os.Stderr, "dspbench: wrote", name)
 	}
@@ -240,12 +242,12 @@ type benchRecord struct {
 	WallSeconds   float64 `json:"wall_seconds"` // host compute time; not deterministic
 	ChargedCycles int64   `json:"charged_cycles"`
 
-	// Memo and Tier snapshot the process-wide counters at write time. For a
-	// single-cell dspbench run Memo says whether the result was simulated
-	// fresh (simulated=1) or served from cache; under -place or future
-	// multi-cell flows the counts cover every cell the process touched.
+	// Memo snapshots the process-wide memo counters at write time: for a
+	// single-cell dspbench run it says whether the result was simulated
+	// fresh (simulated=1) or served from cache; under -place or -joint the
+	// counts cover every cell the process touched. Joint counts the -joint
+	// search this run performed (all zero without -joint).
 	Memo  benchMemoStats  `json:"memo"`
-	Tier  benchTierStats  `json:"tier"`
 	Joint benchJointStats `json:"joint"`
 }
 
@@ -258,27 +260,16 @@ type benchMemoStats struct {
 	FromDisk  int64 `json:"from_disk"`
 }
 
-// benchTierStats counts fast-tier activity: cells screened analytically,
-// cells verified by full simulation, and probe simulations run. All zero
-// unless a tiered sweep ran in this process.
-type benchTierStats struct {
-	Screened int64 `json:"screened"`
-	Verified int64 `json:"verified"`
-	Probes   int64 `json:"probes"`
-}
-
 // benchJointStats counts joint-search activity: parallelism vectors
 // screened analytically and joint configurations verified by full
-// simulation. All zero unless a joint search ran in this process.
+// simulation.
 type benchJointStats struct {
-	Screened int64 `json:"configs_screened"`
-	Verified int64 `json:"configs_verified"`
+	Screened int `json:"configs_screened"`
+	Verified int `json:"configs_verified"`
 }
 
-func writeBenchJSON(cell bench.Cell, res *engine.Result) (string, error) {
+func writeBenchJSON(cell bench.Cell, res *engine.Result, joint benchJointStats) (string, error) {
 	st := bench.MemoStats()
-	screened, verified, probes := bench.TierStats()
-	jointScreened, jointVerified := bench.JointStats()
 	rec := benchRecord{
 		Schema:        "dspbench/v2",
 		CellKey:       bench.CellKey(cell),
@@ -304,8 +295,7 @@ func writeBenchJSON(cell bench.Cell, res *engine.Result) (string, error) {
 		WallSeconds:   res.WallSeconds,
 		ChargedCycles: int64(res.ChargedCycles),
 		Memo:          benchMemoStats{Simulated: st.Runs, Deduped: st.MemHits, FromDisk: st.DiskHits},
-		Tier:          benchTierStats{Screened: screened, Verified: verified, Probes: probes},
-		Joint:         benchJointStats{Screened: jointScreened, Verified: jointVerified},
+		Joint:         joint,
 	}
 	name := fmt.Sprintf("BENCH_%s_%s.json", cell.App, cell.System)
 	data, err := json.MarshalIndent(rec, "", "  ")

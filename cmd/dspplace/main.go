@@ -26,7 +26,6 @@ import (
 	"streamscale/internal/apps"
 	"streamscale/internal/bench"
 	"streamscale/internal/engine"
-	"streamscale/internal/hw"
 	"streamscale/internal/place"
 )
 
@@ -121,26 +120,12 @@ func runStrategy(name, app, system string, sockets, scale, batch, jobs int) erro
 		return err
 	}
 
-	needsModel := name != "min-k-cut"
 	var w *place.Workload
-	if needsModel {
-		probeRes, err := bench.Run(bench.Cell{App: app, System: system, Sockets: 4, Scale: scale, BatchSize: 1})
-		if err != nil {
+	if name != "min-k-cut" {
+		if w, err = bench.Calibrate(app, system, batch, scale); err != nil {
 			return err
 		}
-		model, err := place.Calibrate(probeRes, hw.TableIII(), sys, 1)
-		if err != nil {
-			return err
-		}
-		if batch > 1 {
-			model = model.WithBatch(batch)
-		}
-		prob.Model = model
-		w, err = place.NewWorkload(model, topo, sys)
-		if err != nil {
-			return err
-		}
-		prob.Workload = w
+		prob.Model, prob.Workload = w.Model, w
 	}
 
 	// Worker counts flow through the strategy options; results are

@@ -32,31 +32,40 @@ type experiment struct {
 	explicitOnly bool
 }
 
-func experiments(tier bool) []experiment {
-	exps := baseExperiments()
+// experiments lists the report's experiments. Those that make model
+// decisions append their model-vs-measured records to val, which the
+// report prints as its closing section.
+func experiments(tier bool, val *[]bench.Validation) []experiment {
+	exps := baseExperiments(val)
 	if !tier {
 		return exps
 	}
 	// The tiered set swaps the screened sweeps in under their familiar
 	// IDs — fig6b/fig6c/fig12 gain width, not new names — and adds the
 	// spec matrix that only the fast tier makes affordable.
+	sweep := func(r *bench.TierRun, err error) (*bench.TierRun, error) {
+		if err == nil {
+			*val = append(*val, r.Validation)
+		}
+		return r, err
+	}
 	tiered := map[string]experiment{
 		"fig6b": {id: "fig6b", desc: "Storm scalability over cores (tiered, wide)", run: func() (string, error) {
-			r, err := bench.TieredScalability("storm")
+			r, err := sweep(bench.TieredScalability("storm"))
 			if err != nil {
 				return "", err
 			}
 			return bench.TieredScalabilityTable("storm", r), nil
 		}},
 		"fig6c": {id: "fig6c", desc: "Flink scalability over cores (tiered, wide)", run: func() (string, error) {
-			r, err := bench.TieredScalability("flink")
+			r, err := sweep(bench.TieredScalability("flink"))
 			if err != nil {
 				return "", err
 			}
 			return bench.TieredScalabilityTable("flink", r), nil
 		}},
 		"fig12": {id: "fig12", desc: "tuple batching (tiered, wide)", run: func() (string, error) {
-			r, err := bench.TieredBatching()
+			r, err := sweep(bench.TieredBatching())
 			if err != nil {
 				return "", err
 			}
@@ -70,18 +79,22 @@ func experiments(tier bool) []experiment {
 	}
 	return append(exps,
 		experiment{id: "tier-specs", desc: "machine-variant scenario matrix (tiered)", run: func() (string, error) {
-			r, err := bench.SpecMatrix()
+			r, err := sweep(bench.SpecMatrix())
 			if err != nil {
 				return "", err
 			}
 			return bench.SpecMatrixTable(r), nil
 		}},
 		experiment{id: "tier-smoke", desc: "fast-tier CI gate: verified-row identity and rank-tau (runs only when selected)",
-			run: bench.TierSmoke, explicitOnly: true},
+			run: func() (string, error) {
+				out, v, err := bench.TierSmoke()
+				*val = append(*val, v)
+				return out, err
+			}, explicitOnly: true},
 	)
 }
 
-func baseExperiments() []experiment {
+func baseExperiments(val *[]bench.Validation) []experiment {
 	// No local result sharing: the bench package memoizes every cell by
 	// content, so the experiments that reuse the single-socket study (and
 	// each other's baselines) deduplicate simulation work automatically.
@@ -147,26 +160,31 @@ func baseExperiments() []experiment {
 			return bench.Fig12Table(rows) + "\n" + bench.Fig13Table(rows), nil
 		}},
 		{id: "fig14", desc: "NUMA-aware placement and combined optimizations", run: func() (string, error) {
-			rows, val, err := bench.Placement()
+			rows, v, err := bench.Placement()
 			if err != nil {
 				return "", err
 			}
-			return bench.Fig14Table(rows) + "\n" + bench.Fig15Table(rows) +
-				"\n" + bench.ModelValidationTable(val), nil
+			*val = append(*val, v...)
+			return bench.Fig14Table(rows) + "\n" + bench.Fig15Table(rows), nil
 		}},
 		{id: "joint", desc: "joint parallelism + placement (RLAS) vs placement-only", run: func() (string, error) {
-			rows, err := bench.JointStudy()
+			rows, v, err := bench.JointStudy()
 			if err != nil {
 				return "", err
 			}
-			shift, err := bench.JointShift()
+			shift, sv, err := bench.JointShift()
 			if err != nil {
 				return "", err
 			}
+			*val = append(append(*val, v...), sv)
 			return bench.JointTable(rows) + "\n" + bench.JointShiftTable(shift), nil
 		}},
 		{id: "joint-smoke", desc: "joint-search CI gate: exhaustive candidate simulation and rank-tau (runs only when selected)",
-			run: bench.JointSmoke, explicitOnly: true},
+			run: func() (string, error) {
+				out, v, err := bench.JointSmoke()
+				*val = append(*val, v...)
+				return out, err
+			}, explicitOnly: true},
 		{id: "gc", desc: "G1 vs parallelGC overhead (§V-D)", run: func() (string, error) {
 			rows, err := bench.GCStudy(apps.BenchmarkNames())
 			if err != nil {
@@ -367,7 +385,8 @@ func main() {
 		return
 	}
 
-	exps := experiments(*tier)
+	var val []bench.Validation
+	exps := experiments(*tier, &val)
 	if *list {
 		ids := make([]string, 0, len(exps))
 		for _, e := range exps {
@@ -404,23 +423,34 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dspreport: unknown experiment %q (try -list)\n", *pick)
 		os.Exit(1)
 	}
-	if *tier {
-		if rows := bench.TierValidations(); len(rows) > 0 {
-			fmt.Printf("%s\n", bench.TierValidationTable(rows))
-		}
+	if len(val) > 0 {
+		fmt.Printf("%s\n", bench.ValidationTable(val))
 	}
 	if !*quiet {
 		st := bench.MemoStats()
 		fmt.Fprintf(os.Stderr, "dspreport: %d experiment(s) in %.1fs (jobs=%d; %d simulated, %d deduped, %d from cache)\n",
 			ran, time.Since(start).Seconds(), bench.Jobs(), st.Runs, st.MemHits, st.DiskHits)
 		if *tier {
-			sc, ver, pr := bench.TierStats()
+			t := total(val, "tier")
 			fmt.Fprintf(os.Stderr, "dspreport: tier: %d cells screened, %d verified by simulation, %d probe request(s)\n",
-				sc, ver, pr)
+				t.Screened, t.Verified, t.Probes)
 		}
-		if jsc, jver := bench.JointStats(); jsc > 0 || jver > 0 {
+		if j := total(val, "joint"); j.Screened > 0 || j.Verified > 0 {
 			fmt.Fprintf(os.Stderr, "dspreport: joint: %d parallelism vector(s) screened, %d configuration(s) verified by simulation\n",
-				jsc, jver)
+				j.Screened, j.Verified)
 		}
 	}
+}
+
+// total sums the counts of one decision's records.
+func total(val []bench.Validation, decision string) bench.Validation {
+	var t bench.Validation
+	for _, v := range val {
+		if v.Decision == decision {
+			t.Screened += v.Screened
+			t.Verified += v.Verified
+			t.Probes += v.Probes
+		}
+	}
+	return t
 }

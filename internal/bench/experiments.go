@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -512,8 +513,9 @@ type PlacementRow struct {
 // sockets unoptimized, four sockets with NUMA-aware placement, and four
 // sockets with placement plus batching (S = place.DefaultBatchSize).
 // Placement plans come from the model-guided search (placement.go); the
-// second return value carries its predicted-vs-simulated validation rows.
-func Placement() ([]PlacementRow, []ModelValidationRow, error) {
+// second return value carries one model-vs-measured record per row, over
+// both of its searches, system by system.
+func Placement() ([]PlacementRow, []Validation, error) {
 	// The unplaced baselines for every (app, system) are independent:
 	// batch them through the pool, then derive each row's placement plans
 	// (SearchPlacement fans its verification runs out internally, and its
@@ -531,10 +533,10 @@ func Placement() ([]PlacementRow, []ModelValidationRow, error) {
 		return nil, nil, err
 	}
 	var out []PlacementRow
-	var val []ModelValidationRow
+	val := make([][]Validation, len(Systems))
 	i := 0
 	for _, app := range apps.BenchmarkNames() {
-		for _, sys := range Systems {
+		for si, sys := range Systems {
 			one, four := results[i].Res, results[i+1].Res
 			i += 2
 			placed, err := SearchPlacement(app, sys, 1, 4)
@@ -554,11 +556,13 @@ func Placement() ([]PlacementRow, []ModelValidationRow, error) {
 				Combined:     comb.Throughput / base,
 				BestK:        placed.WinnerK,
 			})
-			val = append(val, validationRow(placed, comb))
+			v := placed.Validation
+			v.Screened += comb.Validation.Screened
+			v.score(placed.Verified, comb.Verified)
+			val[si] = append(val[si], v)
 		}
 	}
-	sortValidation(val)
-	return out, val, nil
+	return out, slices.Concat(val...), nil
 }
 
 // Fig14Table renders the placement-only comparison.
@@ -763,7 +767,7 @@ func PlacementAblation(appNames []string) ([]PlacementAblationRow, error) {
 			out = append(out, PlacementAblationRow{
 				App: app, System: sys,
 				RoundRobin:  rrRes.Throughput().PerSecond() / b,
-				MinKCut:     ps.bestVerifiedSeed() / b,
+				MinKCut:     ps.SeedThroughput / b,
 				ModelSearch: ps.Throughput / b,
 			})
 		}

@@ -220,10 +220,11 @@ func TestPlacementHelps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, k, tp, err := bestPlacement("wc", "storm", 1, 4)
+	ps, err := SearchPlacement("wc", "storm", 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	k, tp := ps.WinnerK, ps.Throughput
 	// Placement is roughly neutral for WC (our OS-spread baseline already
 	// has sticky threads and first-touch locality; see EXPERIMENTS.md) and
 	// must never be materially worse than it.

@@ -3,9 +3,7 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
-	"streamscale/internal/hw"
 	"streamscale/internal/place"
 )
 
@@ -25,27 +23,11 @@ import (
 // fixed-parallelism winner is the always-measured fallback.
 const jointVerifyTop = 2
 
-// JointVerification is one joint configuration that was both model-scored
-// and fully simulated.
-type JointVerification struct {
-	// Par is the per-operator parallelism vector in exec-topology op order.
-	Par []int
-	// Assign is the per-executor socket assignment of the rescaled layout.
-	Assign []int
-	// Predicted is the model's throughput estimate (events/s); Measured is
-	// the simulated throughput.
-	Predicted float64
-	Measured  float64
-}
-
 // JointSearch is the outcome of one joint search for one
 // (app, system, batch) row.
 type JointSearch struct {
 	App, System string
 	Batch       int
-
-	// Fixed is the placement-only search this row is measured against.
-	Fixed *PlacementSearch
 
 	// Winner describes the measured-best configuration: the fixed winner's
 	// placement under the default parallelism, or a verified joint
@@ -62,35 +44,14 @@ type JointSearch struct {
 	// FixedThroughput the placement-only winner's.
 	Throughput      float64
 	FixedThroughput float64
-	// Improved reports a joint (non-default-parallelism) win.
-	Improved bool
 
 	// Verified lists the simulated joint configurations in model-rank
-	// order. VectorsScreened / VectorsSearched are the search's own
-	// counters; OpNames gives the vector positions' operator names.
-	Verified        []JointVerification
-	VectorsScreened int
+	// order; each Key is the configuration's parallelism vector.
+	Verified []Candidate
+	// VectorsSearched counts the vectors that got the full inner search;
+	// Validation counts the vectors screened.
 	VectorsSearched int
-	OpNames         []string
-	DefaultPar      []int
-}
-
-var (
-	jointScreened atomic.Int64
-	jointVerified atomic.Int64
-)
-
-// JointStats reports how many parallelism vectors the joint searches
-// screened analytically and how many joint configurations were verified by
-// full simulation since the last reset.
-func JointStats() (screened, verified int64) {
-	return jointScreened.Load(), jointVerified.Load()
-}
-
-// ResetJointStats zeroes the joint-search counters.
-func ResetJointStats() {
-	jointScreened.Store(0)
-	jointVerified.Store(0)
+	Validation      Validation
 }
 
 // jointSearchOptions trims the per-row joint search to sweep cost (the
@@ -120,59 +81,34 @@ func jointOverride(names []string, par, def []int) map[string]int {
 }
 
 // SearchJoint runs the joint parallelism + placement search for one row:
-// run the placement-only search (memo-shared), rebuild its calibrated
-// model into a workload, co-search executor counts with socket assignment,
-// verify the top joint configurations by simulation, and keep whichever of
-// {fixed winner, joint winner} measured faster.
+// run the placement-only search (memo-shared) on the calibrated model,
+// co-search executor counts with socket assignment on the same model,
+// verify the top joint configurations by simulation, and keep whichever
+// of {fixed winner, joint winner} measured faster.
 func SearchJoint(app, system string, batch, scale int) (*JointSearch, error) {
-	fixed, err := SearchPlacement(app, system, batch, scale)
+	w, err := Calibrate(app, system, batch, scale)
 	if err != nil {
 		return nil, err
 	}
-
-	topo, err := Cell{App: app, Seed: 1, Scale: scale}.Topology()
+	fixed, err := searchPlacement(w.Model, app, system, batch, scale)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := systemProfile(system)
-	if err != nil {
-		return nil, err
-	}
-	// Same probe as the placement search: the unplaced four-socket batch-1
-	// baseline, already simulated and memoized by SearchPlacement above.
-	probeRes, err := Run(Cell{App: app, System: system, Sockets: 4, Scale: scale, BatchSize: 1})
-	if err != nil {
-		return nil, err
-	}
-	model, err := place.Calibrate(probeRes, hw.TableIII(), sys, 1)
-	if err != nil {
-		return nil, fmt.Errorf("calibrate %s/%s: %w", app, system, err)
-	}
-	if batch > 1 {
-		model = model.WithBatch(batch)
-	}
-	w, err := place.NewWorkload(model, topo, sys)
-	if err != nil {
-		return nil, fmt.Errorf("joint workload %s/%s: %w", app, system, err)
-	}
-
 	res, err := w.SearchJoint(jointSearchOptions(Jobs()))
 	if err != nil {
 		return nil, fmt.Errorf("joint search %s/%s: %w", app, system, err)
 	}
-	jointScreened.Add(int64(res.VectorsScreened))
 
 	out := &JointSearch{
 		App: app, System: system, Batch: batch,
-		Fixed:           fixed,
 		FixedThroughput: fixed.Throughput,
-		VectorsScreened: res.VectorsScreened,
 		VectorsSearched: res.VectorsSearched,
-		DefaultPar:      res.DefaultPar,
+		Validation: Validation{
+			Decision: "joint", Name: app + "/" + system,
+			Screened: res.VectorsScreened, Probes: 1,
+		},
 	}
-	for _, op := range w.Ops {
-		out.OpNames = append(out.OpNames, op.Name)
-	}
+	names := opNames(w)
 
 	// Verification set: the top candidates that actually rescale something
 	// AND whose model score strictly beats the default vector's best.
@@ -184,45 +120,32 @@ func SearchJoint(app, system string, batch, scale int) (*JointSearch, error) {
 	// vector changes, so their candidates tie the default score exactly
 	// and cost zero extra simulations. (A tie would also keep the fixed
 	// winner under the measured-winner rule below, so nothing is lost.)
-	var verify []place.JointCandidate
 	for _, c := range res.Candidates {
-		if len(jointOverride(out.OpNames, c.Par, res.DefaultPar)) == 0 {
+		over := jointOverride(names, c.Par, res.DefaultPar)
+		if len(over) == 0 || c.Score >= res.DefaultScore {
 			continue
 		}
-		if c.Score >= res.DefaultScore {
-			continue
-		}
-		verify = append(verify, c)
-		if len(verify) == jointVerifyTop {
-			break
-		}
-	}
-	cells := make([]Cell, len(verify))
-	for i, c := range verify {
-		cells[i] = Cell{
-			App: app, System: system, Sockets: 4, Scale: scale,
-			BatchSize: batch, Placement: asPlacementMap(c.Assign),
-			ParallelismOverride: jointOverride(out.OpNames, c.Par, res.DefaultPar),
-		}
-	}
-	results, err := runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	jointVerified.Add(int64(len(cells)))
-
-	for i, c := range verify {
 		m, err := w.Reparallelize(c.Par)
 		if err != nil {
 			return nil, err
 		}
-		out.Verified = append(out.Verified, JointVerification{
-			Par:       c.Par,
-			Assign:    c.Assign,
+		out.Verified = append(out.Verified, Candidate{
+			Cell: Cell{
+				App: app, System: system, Sockets: 4, Scale: scale,
+				BatchSize: batch, Placement: asPlacementMap(c.Assign),
+				ParallelismOverride: over,
+			},
+			Key:       c.Par,
 			Predicted: m.PredictThroughput(c.Assign),
-			Measured:  results[i].Res.Throughput().PerSecond(),
 		})
+		if len(out.Verified) == jointVerifyTop {
+			break
+		}
 	}
+	if err := verify(out.Verified); err != nil {
+		return nil, err
+	}
+	out.Validation.score(out.Verified)
 
 	// Winner: the fixed plan unless a joint configuration measured
 	// STRICTLY better — ties keep the default parallelism, so a joint row
@@ -230,24 +153,24 @@ func SearchJoint(app, system string, batch, scale int) (*JointSearch, error) {
 	out.Winner.Placement = asPlacementMap(fixed.Winner)
 	out.Winner.Override = map[string]int{}
 	out.Throughput = fixed.Throughput
-	bestJoint := -1
-	for i, v := range out.Verified {
-		if v.Measured > out.Throughput {
-			bestJoint = i
-			out.Throughput = v.Measured
-		} else if bestJoint >= 0 && v.Measured == out.Throughput &&
-			place.Less(v.Par, out.Verified[bestJoint].Par) {
-			bestJoint = i
-		}
-	}
-	if bestJoint >= 0 {
-		v := out.Verified[bestJoint]
-		out.Improved = true
-		out.Winner.Par = v.Par
-		out.Winner.Placement = asPlacementMap(v.Assign)
-		out.Winner.Override = jointOverride(out.OpNames, v.Par, res.DefaultPar)
+	if i := measuredWinner(out.Verified, fixed.Throughput); i >= 0 {
+		v := out.Verified[i]
+		out.Winner.Par = v.Key
+		out.Winner.Placement = v.Cell.Placement
+		out.Winner.Override = v.Cell.ParallelismOverride
+		out.Throughput = v.Measured()
 	}
 	return out, nil
+}
+
+// opNames returns the workload's operator names: the positions of its
+// parallelism vectors.
+func opNames(w *place.Workload) []string {
+	names := make([]string, len(w.Ops))
+	for i, op := range w.Ops {
+		names[i] = op.Name
+	}
+	return names
 }
 
 // ParString renders a parallelism vector as op=k pairs for the operators

@@ -2,17 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
-	"streamscale/internal/hw"
 	"streamscale/internal/place"
 )
-
-// jointSmokeRankEps is the relative predicted-throughput difference below
-// which a candidate pair is too close to call and excluded from the
-// rank-tau gate (same resolution as the fast tier's tierRankEps).
-const jointSmokeRankEps = 0.005
 
 // JointSmoke is the CI gate for the joint search: for a few rows it
 // simulates EVERY top-ranked joint configuration (not just the ones the
@@ -24,41 +17,26 @@ const jointSmokeRankEps = 0.005
 //	    winner (the zero-regression invariant).
 //
 // It runs only when selected explicitly: the exhaustive simulation pass
-// is exactly the cost the joint flow exists to avoid.
-func JointSmoke() (string, error) {
+// is exactly the cost the joint flow exists to avoid. The second return
+// value holds the production searches' records.
+func JointSmoke() (string, []Validation, error) {
 	const tauGate = 0.90
 	rows := []struct {
 		app, sys string
 	}{{"wc", "storm"}, {"sd", "flink"}}
 
-	conc, disc := 0, 0
 	var b strings.Builder
-	simulated := 0
+	var groups [][]Candidate
+	var vals []Validation
 	for _, row := range rows {
-		topo, err := Cell{App: row.app, Seed: 1, Scale: 4}.Topology()
+		w, err := Calibrate(row.app, row.sys, 1, 4)
 		if err != nil {
-			return "", err
-		}
-		prof, err := systemProfile(row.sys)
-		if err != nil {
-			return "", err
-		}
-		probeRes, err := Run(Cell{App: row.app, System: row.sys, Sockets: 4, Scale: 4, BatchSize: 1})
-		if err != nil {
-			return "", err
-		}
-		model, err := place.Calibrate(probeRes, hw.TableIII(), prof, 1)
-		if err != nil {
-			return "", err
-		}
-		w, err := place.NewWorkload(model, topo, prof)
-		if err != nil {
-			return "", err
+			return "", nil, err
 		}
 		// The configurations the production search RETURNS are all
 		// near-optimal under the model — their predictions agree to within
-		// the eps filter by construction, so ranking them against each
-		// other tests nothing. The ranking question that matters is across
+		// rankEps by construction, so ranking them against each other
+		// tests nothing. The ranking question that matters is across
 		// deliberately DIFFERENT vectors: the default, everything halved,
 		// and everything doubled span under- and over-provisioning, where
 		// the model's predictions differ by tens of percent. Each vector
@@ -85,84 +63,54 @@ func JointSmoke() (string, error) {
 				vectors = append(vectors, v)
 			}
 		}
-		var cands []place.JointCandidate
+
+		// Simulate each vector's best configuration; the row is one group
+		// of the model-vs-measured ranking.
+		names := opNames(w)
+		var cands []Candidate
 		for _, v := range vectors {
 			m, err := w.Reparallelize(v)
 			if err != nil {
-				return "", err
+				return "", nil, err
 			}
 			best := m.Search(place.SearchOptions{TopM: 1, Workers: Jobs()})
 			if len(best) == 0 {
-				return "", fmt.Errorf("joint-smoke: no assignment for vector %v", v)
+				return "", nil, fmt.Errorf("joint-smoke: no assignment for vector %v", v)
 			}
-			cands = append(cands, place.JointCandidate{Par: v, Assign: best[0].Assign, Score: best[0].Score})
+			cands = append(cands, Candidate{
+				Cell: Cell{
+					App: row.app, System: row.sys, Sockets: 4, Scale: 4, BatchSize: 1,
+					Placement:           asPlacementMap(best[0].Assign),
+					ParallelismOverride: jointOverride(names, v, def),
+				},
+				Predicted: m.PredictThroughput(best[0].Assign),
+			})
 		}
-
-		// Simulate each vector's best configuration and correlate the model
-		// ranking with measured throughput.
-		var names []string
-		for _, op := range w.Ops {
-			names = append(names, op.Name)
+		if err := verify(cands); err != nil {
+			return "", nil, err
 		}
-		res := &place.JointResult{DefaultPar: def}
-		cells := make([]Cell, len(cands))
-		pred := make([]float64, len(cands))
-		for i, c := range cands {
-			cells[i] = Cell{
-				App: row.app, System: row.sys, Sockets: 4, Scale: 4, BatchSize: 1,
-				Placement:           PlacementMap(c.Assign),
-				ParallelismOverride: jointOverride(names, c.Par, res.DefaultPar),
-			}
-			m, err := w.Reparallelize(c.Par)
-			if err != nil {
-				return "", err
-			}
-			pred[i] = m.PredictThroughput(c.Assign)
-		}
-		full, err := runCells(cells)
-		if err != nil {
-			return "", err
-		}
-		simulated += len(cells)
-		meas := make([]float64, len(full))
-		for i := range full {
-			meas[i] = full[i].Res.Throughput().PerSecond()
-		}
-		for i := 0; i < len(meas); i++ {
-			for j := i + 1; j < len(meas); j++ {
-				if math.Abs(pred[i]-pred[j]) <= jointSmokeRankEps*math.Max(pred[i], pred[j]) ||
-					meas[i] == meas[j] {
-					continue
-				}
-				if (pred[i] > pred[j]) == (meas[i] > meas[j]) {
-					conc++
-				} else {
-					disc++
-				}
-			}
-		}
+		groups = append(groups, cands)
 
 		// Zero-regression invariant on the production flow.
 		js, err := SearchJoint(row.app, row.sys, 1, 4)
 		if err != nil {
-			return "", err
+			return "", nil, err
 		}
+		vals = append(vals, js.Validation)
 		if js.Throughput < js.FixedThroughput {
-			return "", fmt.Errorf("joint-smoke: %s/%s joint winner %.0f ev/s below placement-only %.0f ev/s",
+			return "", nil, fmt.Errorf("joint-smoke: %s/%s joint winner %.0f ev/s below placement-only %.0f ev/s",
 				row.app, row.sys, js.Throughput, js.FixedThroughput)
 		}
 		fmt.Fprintf(&b, "joint-smoke: %s/%s: %d candidate(s) simulated, winner %s (%+.1f%% vs fixed)\n",
-			row.app, row.sys, len(cells), js.ParString(), (js.Throughput/js.FixedThroughput-1)*100)
+			row.app, row.sys, len(cands), js.ParString(), (js.Throughput/js.FixedThroughput-1)*100)
 	}
 
-	tau := 0.0
-	if conc+disc > 0 {
-		tau = float64(conc-disc) / float64(conc+disc)
-	}
+	var gate Validation
+	gate.score(groups...)
 	fmt.Fprintf(&b, "joint-smoke: screened-vs-measured rank-tau %.2f over %d pair(s) (gate >= %.2f, %d simulated)\n",
-		tau, conc+disc, tauGate, simulated)
-	if conc+disc > 0 && tau < tauGate {
-		return b.String(), fmt.Errorf("joint-smoke: rank-tau %.2f below gate %.2f", tau, tauGate)
+		gate.RankTau, gate.Pairs, tauGate, gate.Verified)
+	if gate.Pairs > 0 && gate.RankTau < tauGate {
+		return b.String(), vals, fmt.Errorf("joint-smoke: rank-tau %.2f below gate %.2f", gate.RankTau, tauGate)
 	}
-	return b.String(), nil
+	return b.String(), vals, nil
 }

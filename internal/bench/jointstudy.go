@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"streamscale/internal/apps"
@@ -24,8 +25,8 @@ type JointRow struct {
 	Gain float64
 	// Par describes the winning parallelism ("default" or op=k pairs).
 	Par string
-	// Screened and Searched are the joint search's vector counters.
-	Screened, Searched int
+	// Screened counts the parallelism vectors the joint search screened.
+	Screened int
 }
 
 // JointStudy runs the joint search on every (app, system) row at the
@@ -33,27 +34,30 @@ type JointRow struct {
 // optimizations are on and the parallelism axis matters most. The
 // placement-only searches and probes are memo-shared with the Fig 14/15
 // study, so the incremental cost is the joint verification simulations.
-func JointStudy() ([]JointRow, error) {
+// The second return value carries one model-vs-measured record per row,
+// system by system.
+func JointStudy() ([]JointRow, []Validation, error) {
 	var out []JointRow
+	val := make([][]Validation, len(Systems))
 	for _, app := range apps.BenchmarkNames() {
-		for _, sys := range Systems {
-			for _, batch := range []int{place.DefaultBatchSize} {
-				js, err := SearchJoint(app, sys, batch, 4)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s joint (batch %d): %w", app, sys, batch, err)
-				}
-				out = append(out, JointRow{
-					App: app, System: sys, Batch: batch,
-					Fixed:    js.FixedThroughput,
-					Joint:    js.Throughput,
-					Gain:     js.Throughput/js.FixedThroughput - 1,
-					Par:      js.ParString(),
-					Screened: js.VectorsScreened, Searched: js.VectorsSearched,
-				})
+		for si, sys := range Systems {
+			batch := place.DefaultBatchSize
+			js, err := SearchJoint(app, sys, batch, 4)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%s/%s joint (batch %d): %w", app, sys, batch, err)
 			}
+			out = append(out, JointRow{
+				App: app, System: sys, Batch: batch,
+				Fixed:    js.FixedThroughput,
+				Joint:    js.Throughput,
+				Gain:     js.Throughput/js.FixedThroughput - 1,
+				Par:      js.ParString(),
+				Screened: js.Validation.Screened,
+			})
+			val[si] = append(val[si], js.Validation)
 		}
 	}
-	return out, nil
+	return out, slices.Concat(val...), nil
 }
 
 // JointTable renders the joint-vs-fixed comparison.
@@ -100,49 +104,36 @@ func jointShiftOptions(workers int) place.JointOptions {
 }
 
 // JointShift recalibrates each row's probe model onto every machine-spec
-// variant (place.Model.Retarget — no new simulations) and re-runs the
+// variant (place.Workload.Retarget — no new simulations) and re-runs the
 // joint search, showing where the parallelism/placement optimum moves when
-// the machine shape changes.
-func JointShift() ([]JointShiftRow, error) {
+// the machine shape changes. The second return value records the vectors
+// the searches screened; nothing is verified.
+func JointShift() ([]JointShiftRow, Validation, error) {
 	variants := hw.VariantNames()
+	val := Validation{Decision: "joint", Name: "spec-shift"}
 	var out []JointShiftRow
 	for _, app := range apps.BenchmarkNames() {
 		for _, sys := range Systems {
-			topo, err := Cell{App: app, Seed: 1, Scale: 4}.Topology()
+			base, err := Calibrate(app, sys, 1, 4)
 			if err != nil {
-				return nil, err
+				return nil, Validation{}, err
 			}
-			prof, err := systemProfile(sys)
-			if err != nil {
-				return nil, err
-			}
-			probeRes, err := Run(Cell{App: app, System: sys, Sockets: 4, Scale: 4, BatchSize: 1})
-			if err != nil {
-				return nil, err
-			}
-			base, err := place.Calibrate(probeRes, hw.TableIII(), prof, 1)
-			if err != nil {
-				return nil, fmt.Errorf("calibrate %s/%s: %w", app, sys, err)
-			}
+			val.Probes++
 			row := JointShiftRow{App: app, System: sys}
 			var basePar []int
 			for vi, variant := range variants {
-				spec, _ := hw.Variant(variant)
-				model := base
+				w := base
 				if vi > 0 {
-					model = base.Retarget(spec)
-				}
-				w, err := place.NewWorkload(model, topo, prof)
-				if err != nil {
-					return nil, err
+					spec, _ := hw.Variant(variant)
+					w = base.Retarget(spec)
 				}
 				res, err := w.SearchJoint(jointShiftOptions(Jobs()))
 				if err != nil {
-					return nil, fmt.Errorf("joint shift %s/%s/%s: %w", app, sys, variant, err)
+					return nil, Validation{}, fmt.Errorf("joint shift %s/%s/%s: %w", app, sys, variant, err)
 				}
-				jointScreened.Add(int64(res.VectorsScreened))
+				val.Screened += res.VectorsScreened
 				if len(res.Candidates) == 0 {
-					return nil, fmt.Errorf("joint shift %s/%s/%s: no candidates", app, sys, variant)
+					return nil, Validation{}, fmt.Errorf("joint shift %s/%s/%s: no candidates", app, sys, variant)
 				}
 				win := res.Candidates[0]
 				execs := 0
@@ -153,26 +144,14 @@ func JointShift() ([]JointShiftRow, error) {
 				row.K = append(row.K, distinctSockets(win.Assign))
 				if vi == 0 {
 					basePar = win.Par
-				} else if !intsEqual(win.Par, basePar) {
+				} else if !slices.Equal(win.Par, basePar) {
 					row.Shifts++
 				}
 			}
 			out = append(out, row)
 		}
 	}
-	return out, nil
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return out, val, nil
 }
 
 // JointShiftTable renders the optimum-shift-across-specs comparison. Each

@@ -9,8 +9,9 @@ import (
 // and the build fingerprint. The full dspreport sweep requests many cells
 // more than once (the single-socket study feeds Fig 6a, Table IV and
 // Figs 7/8/11; Batching and Placement re-run each other's baselines;
-// bestPlacement brute-forces near-identical plans), so sharing one store
-// across all experiment drivers collapses those to one simulation each.
+// every placement and joint search shares its row's probe), so sharing
+// one store across all experiment drivers collapses those to one
+// simulation each.
 var store = memo.New(memo.BuildFingerprint())
 
 // Run executes the cell on the simulated machine, memoized: repeated and

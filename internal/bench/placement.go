@@ -2,12 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
-	"streamscale/internal/apps"
-
-	"streamscale/internal/hw"
 	"streamscale/internal/place"
 )
 
@@ -44,21 +42,6 @@ const (
 	batchedTierEps    = 0.005
 )
 
-// PlanVerification is one plan that was both model-scored and fully
-// simulated during a placement search.
-type PlanVerification struct {
-	// Assign is the per-executor socket assignment exactly as simulated:
-	// search plans are canonical, seed plans keep their original labels
-	// (the simulated machine is not label symmetric).
-	Assign []int
-	// Predicted is the model's throughput estimate (events/s).
-	Predicted float64
-	// Measured is the simulated throughput (events/s).
-	Measured float64
-	// Seed marks plans that came from the min-k-cut seed set.
-	Seed bool
-}
-
 // PlacementSearch is the outcome of one model-guided placement search for
 // one (app, system, batch) row.
 type PlacementSearch struct {
@@ -72,21 +55,36 @@ type PlacementSearch struct {
 	WinnerK int
 	// Throughput is the winner's measured throughput (events/s).
 	Throughput float64
+	// SeedThroughput is the best measured throughput among the verified
+	// min-k-cut seed plans (at least one is always verified).
+	SeedThroughput float64
 
-	// Verified lists the simulated plans in model-rank order.
-	Verified []PlanVerification
-	// Scored is how many distinct plans the model ranked (the candidate
-	// pool: B&B results merged with the seeds).
-	Scored int
+	// Verified lists the simulated plans in model-rank order; each Key is
+	// the per-executor socket assignment exactly as simulated: search
+	// plans are canonical, seed plans keep their original labels (the
+	// simulated machine is not label symmetric).
+	Verified []Candidate
 	// Seeds is how many distinct min-k-cut seed plans entered the pool.
 	Seeds int
+	// Validation counts the plans the model ranked (the candidate pool:
+	// B&B results merged with the seeds) as screened.
+	Validation Validation
 }
 
 // SearchPlacement runs the model-guided search for one row: calibrate
 // from the probe, rank candidates, verify the top few by simulation, and
 // select the measured best.
 func SearchPlacement(app, system string, batch, scale int) (*PlacementSearch, error) {
-	topo, err := apps.Build(app, apps.Config{Events: Cell{App: app}.Events(), Seed: 1, Scale: scale})
+	w, err := Calibrate(app, system, batch, scale)
+	if err != nil {
+		return nil, err
+	}
+	return searchPlacement(w.Model, app, system, batch, scale)
+}
+
+// searchPlacement is SearchPlacement on an already calibrated model.
+func searchPlacement(model *place.Model, app, system string, batch, scale int) (*PlacementSearch, error) {
+	topo, err := Cell{App: app, Scale: scale}.Topology()
 	if err != nil {
 		return nil, err
 	}
@@ -120,24 +118,6 @@ func SearchPlacement(app, system string, batch, scale int) (*PlacementSearch, er
 	}
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("no feasible placement plans")
-	}
-
-	// Probe: the unplaced four-socket baseline at batch 1 — identical to
-	// the Fig 14 normalization cell, so the memo layer shares it.
-	probeRes, err := Run(Cell{App: app, System: system, Sockets: 4, Scale: scale, BatchSize: 1})
-	if err != nil {
-		return nil, err
-	}
-	model, err := place.Calibrate(probeRes, hw.TableIII(), sys, 1)
-	if err != nil {
-		return nil, fmt.Errorf("calibrate %s/%s: %w", app, system, err)
-	}
-	if model.N() != len(seeds[0]) {
-		return nil, fmt.Errorf("model has %d executors, plans have %d", model.N(), len(seeds[0]))
-	}
-	if batch > 1 {
-		// Analytical batch adjustment: no second probe needed.
-		model = model.WithBatch(batch)
 	}
 
 	cands := model.Search(place.SearchOptions{
@@ -222,15 +202,15 @@ func SearchPlacement(app, system string, batch, scale int) (*PlacementSearch, er
 	if top > len(merged) {
 		top = len(merged)
 	}
-	verify := append([]scoredPlan(nil), merged[:top]...)
+	picked := append([]scoredPlan(nil), merged[:top]...)
 	hasSeed := false
-	for _, c := range verify {
+	for _, c := range picked {
 		hasSeed = hasSeed || c.seed
 	}
 	if !hasSeed {
 		for _, c := range merged[top:] {
 			if c.seed {
-				verify[len(verify)-1] = c
+				picked[len(picked)-1] = c
 				break
 			}
 		}
@@ -238,13 +218,13 @@ func SearchPlacement(app, system string, batch, scale int) (*PlacementSearch, er
 	if batch > 1 && len(seeds) >= extraSeedMinSeeds {
 		// Extra slot: the most concentrated seed not already verified
 		// (fewest distinct sockets, ranked order breaking ties).
-		inVerify := make(map[string]bool, len(verify))
-		for _, c := range verify {
-			inVerify[assignString(c.assign)] = true
+		inPicked := make(map[string]bool, len(picked))
+		for _, c := range picked {
+			inPicked[assignString(c.assign)] = true
 		}
 		extra := -1
 		for i, c := range merged {
-			if !c.seed || inVerify[assignString(c.assign)] {
+			if !c.seed || inPicked[assignString(c.assign)] {
 				continue
 			}
 			if extra < 0 || c.k < merged[extra].k {
@@ -252,77 +232,42 @@ func SearchPlacement(app, system string, batch, scale int) (*PlacementSearch, er
 			}
 		}
 		if extra >= 0 {
-			verify = append(verify, merged[extra])
+			picked = append(picked, merged[extra])
 		}
-	}
-
-	// Simulate the verification set through the memoized pool.
-	cells := make([]Cell, len(verify))
-	for i, c := range verify {
-		cells[i] = Cell{
-			App: app, System: system, Sockets: 4, Scale: scale,
-			BatchSize: batch, Placement: asPlacementMap(c.assign),
-		}
-	}
-	results, err := runCells(cells)
-	if err != nil {
-		return nil, err
 	}
 
 	out := &PlacementSearch{
-		App: app, System: system, Batch: batch,
-		Scored: len(merged), Seeds: len(seeds),
+		App: app, System: system, Batch: batch, Seeds: len(seeds),
+		Verified: make([]Candidate, len(picked)),
+		Validation: Validation{
+			Decision: "placement", Name: app + "/" + system,
+			Screened: len(merged), Probes: 1,
+		},
 	}
-	for i, c := range verify {
-		out.Verified = append(out.Verified, PlanVerification{
-			Assign:    c.assign,
+	for i, c := range picked {
+		out.Verified[i] = Candidate{
+			Cell: Cell{
+				App: app, System: system, Sockets: 4, Scale: scale,
+				BatchSize: batch, Placement: asPlacementMap(c.assign),
+			},
+			Key:       c.assign,
 			Predicted: model.PredictThroughput(c.assign),
-			Measured:  results[i].Res.Throughput().PerSecond(),
-			Seed:      c.seed,
-		})
+		}
 	}
-	best := pickWinner(out.Verified)
-	out.Winner = out.Verified[best].Assign
+	if err := verify(out.Verified); err != nil {
+		return nil, err
+	}
+	for i, c := range picked {
+		if c.seed {
+			out.SeedThroughput = max(out.SeedThroughput, out.Verified[i].Measured())
+		}
+	}
+	out.Validation.score(out.Verified)
+	best := out.Verified[measuredWinner(out.Verified, math.Inf(-1))]
+	out.Winner = best.Key
 	out.WinnerK = distinctSockets(out.Winner)
-	out.Throughput = out.Verified[best].Measured
+	out.Throughput = best.Measured()
 	return out, nil
-}
-
-// pickWinner selects the measured-best verified plan; throughput ties
-// break to the lexicographically smallest assignment, so plan enumeration
-// order can never leak into the selection.
-func pickWinner(verified []PlanVerification) int {
-	best := 0
-	for i := 1; i < len(verified); i++ {
-		v, b := &verified[i], &verified[best]
-		if v.Measured > b.Measured ||
-			(v.Measured == b.Measured && place.Less(v.Assign, b.Assign)) {
-			best = i
-		}
-	}
-	return best
-}
-
-// bestPlacement preserves the previous flow's signature: the winning
-// placement map, its socket count, and its measured throughput.
-func bestPlacement(app, system string, batch, scale int) (map[int]int, int, float64, error) {
-	ps, err := SearchPlacement(app, system, batch, scale)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return asPlacementMap(ps.Winner), ps.WinnerK, ps.Throughput, nil
-}
-
-// bestVerifiedSeed returns the best measured throughput among verified
-// min-k-cut seed plans (at least one is always verified).
-func (ps *PlacementSearch) bestVerifiedSeed() float64 {
-	best := 0.0
-	for _, v := range ps.Verified {
-		if v.Seed && v.Measured > best {
-			best = v.Measured
-		}
-	}
-	return best
 }
 
 // PlacementMap converts a per-executor assignment slice to the Cell
@@ -355,93 +300,4 @@ func distinctSockets(assign []int) int {
 		seen[s] = true
 	}
 	return len(seen)
-}
-
-// --- Model validation: predicted vs simulated -----------------------------
-
-// ModelValidationRow summarizes how well the cost model ranked plans for
-// one (app, system) row across its batch-1 and batched searches.
-type ModelValidationRow struct {
-	App, System string
-	// Plans is how many distinct plans the model ranked; Verified how
-	// many were fully simulated; Avoided the difference.
-	Plans, Verified, Avoided int
-	// RankTau is the Kendall rank correlation between model rank and
-	// measured rank over the verified plans (pairs within one search).
-	RankTau float64
-	// MeanErr is the mean relative error of predicted vs measured
-	// throughput over the verified plans.
-	MeanErr float64
-}
-
-// validationRow folds one row's searches into its validation summary.
-func validationRow(searches ...*PlacementSearch) ModelValidationRow {
-	row := ModelValidationRow{App: searches[0].App, System: searches[0].System}
-	conc, disc := 0, 0
-	var errSum float64
-	var errN int
-	for _, ps := range searches {
-		row.Plans += ps.Scored
-		row.Verified += len(ps.Verified)
-		// Verified is in model-rank order: count pairwise agreements with
-		// the measured order.
-		for i := 0; i < len(ps.Verified); i++ {
-			for j := i + 1; j < len(ps.Verified); j++ {
-				mi, mj := ps.Verified[i].Measured, ps.Verified[j].Measured
-				switch {
-				case mi > mj:
-					conc++
-				case mi < mj:
-					disc++
-				}
-			}
-		}
-		for _, v := range ps.Verified {
-			if v.Measured > 0 {
-				d := (v.Predicted - v.Measured) / v.Measured
-				if d < 0 {
-					d = -d
-				}
-				errSum += d
-				errN++
-			}
-		}
-	}
-	row.Avoided = row.Plans - row.Verified
-	if conc+disc > 0 {
-		row.RankTau = float64(conc-disc) / float64(conc+disc)
-	}
-	if errN > 0 {
-		row.MeanErr = errSum / float64(errN)
-	}
-	return row
-}
-
-// ModelValidationTable renders the model-vs-simulated validation section.
-func ModelValidationTable(rows []ModelValidationRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Model validation — placement cost model vs full simulation (verified plans)\n")
-	fmt.Fprintf(&b, "%-6s %-6s %7s %9s %8s %9s %9s\n",
-		"sys", "app", "ranked", "verified", "avoided", "rank-tau", "mean-err")
-	for _, sys := range Systems {
-		for _, r := range rows {
-			if r.System != sys {
-				continue
-			}
-			fmt.Fprintf(&b, "%-6s %-6s %7d %9d %8d %9.2f %8.1f%%\n",
-				r.System, r.App, r.Plans, r.Verified, r.Avoided, r.RankTau, r.MeanErr*100)
-		}
-	}
-	return b.String()
-}
-
-// sortValidation orders rows deterministically (app within system handled
-// by the table; this orders the backing slice by app, then system).
-func sortValidation(rows []ModelValidationRow) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].App != rows[j].App {
-			return rows[i].App < rows[j].App
-		}
-		return rows[i].System < rows[j].System
-	})
 }

@@ -47,42 +47,3 @@ func TestPlacementAblationTableGolden(t *testing.T) {
 		t.Errorf("PlacementAblationTable drifted:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
-
-func TestModelValidationTableGolden(t *testing.T) {
-	rows := []ModelValidationRow{
-		{App: "wc", System: "storm", Plans: 16, Verified: 5, Avoided: 11, RankTau: 1, MeanErr: 0.123},
-		{App: "lr", System: "flink", Plans: 14, Verified: 5, Avoided: 9, RankTau: -0.5, MeanErr: 0.049},
-	}
-	want := "" +
-		"Model validation — placement cost model vs full simulation (verified plans)\n" +
-		"sys    app     ranked  verified  avoided  rank-tau  mean-err\n" +
-		"storm  wc          16         5       11      1.00     12.3%\n" +
-		"flink  lr          14         5        9     -0.50      4.9%\n"
-	if got := ModelValidationTable(rows); got != want {
-		t.Errorf("ModelValidationTable drifted:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// The winner tie-break is part of the determinism contract: equal measured
-// throughput resolves to the lexicographically smallest canonical
-// assignment regardless of verification order.
-func TestPickWinnerTieBreak(t *testing.T) {
-	verified := []PlanVerification{
-		{Assign: []int{0, 1, 1, 2}, Measured: 500},
-		{Assign: []int{0, 0, 1, 2}, Measured: 500},
-		{Assign: []int{0, 1, 2, 3}, Measured: 400},
-	}
-	if got := pickWinner(verified); got != 1 {
-		t.Errorf("pickWinner = %d, want 1 (lexicographically smallest among tied)", got)
-	}
-	// Order independence: reversing the tied pair must select the same plan.
-	verified[0], verified[1] = verified[1], verified[0]
-	if got := pickWinner(verified); got != 0 {
-		t.Errorf("pickWinner after swap = %d, want 0 (same plan)", got)
-	}
-	// A strictly better measurement beats the tie-break.
-	verified[2].Measured = 600
-	if got := pickWinner(verified); got != 2 {
-		t.Errorf("pickWinner = %d, want 2 (highest measured)", got)
-	}
-}

@@ -2,10 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"strings"
-	"sync"
-	"sync/atomic"
 
 	"streamscale/internal/engine"
 	"streamscale/internal/hw"
@@ -62,38 +58,12 @@ type TierPolicy struct {
 	Midpoint bool
 }
 
-// TierCell is one screened cell of a tiered sweep.
+// TierCell is one screened cell of a tiered sweep: its candidate record
+// (Predicted is Pred.ThroughputEPS) and the full fast-tier prediction.
 type TierCell struct {
-	Cell Cell
+	Candidate
 	Pred eval.Prediction
-	// Res is non-nil iff the cell was simulation-verified; it is the
-	// same memoized Result the untiered path returns for this cell.
-	Res *engine.Result
 }
-
-// TierValidationRow summarizes one tiered sweep's model-vs-simulation
-// agreement over its verified cells.
-type TierValidationRow struct {
-	Sweep string
-	// Screened counts analytically evaluated cells; Verified those also
-	// simulated; Probes the distinct calibration simulations requested.
-	Screened, Verified, Probes int
-	// RankTau is the Kendall rank correlation between predicted and
-	// measured throughput over verified pairs within each group. Pairs
-	// the model scores within tierRankEps of each other are skipped (the
-	// model claims no order there); Pairs counts the pairs that remain.
-	RankTau float64
-	Pairs   int
-	// MeanErr is the mean relative error of predicted vs measured
-	// throughput over the verified cells.
-	MeanErr float64
-}
-
-// tierRankEps is the model's ranking resolution: predicted throughputs
-// within 0.5% are one tier (the same resolution the placement search uses
-// for batched score tiers), so the validation's rank-tau only counts
-// pairs where the model actually asserts an order.
-const tierRankEps = 0.005
 
 // TierRun is the outcome of one tiered sweep.
 type TierRun struct {
@@ -102,49 +72,7 @@ type TierRun struct {
 	// Cells mirrors Groups: Cells[g][i] is Groups[g].Cells[i] screened
 	// (and possibly verified).
 	Cells      [][]TierCell
-	Validation TierValidationRow
-}
-
-// Package-wide tier counters (the CLIs' stats lines and the BENCH record
-// schema report them, like MemoStats for the memo layer).
-var (
-	tierScreened atomic.Int64
-	tierVerified atomic.Int64
-	tierProbes   atomic.Int64
-
-	tierValMu   sync.Mutex
-	tierValRows []TierValidationRow
-)
-
-// TierStats returns the process-wide fast-tier counters: analytically
-// screened cells, simulation-verified cells, and probe simulations
-// requested (distinct per sweep; the memo layer dedups across sweeps).
-func TierStats() (screened, verified, probes int64) {
-	return tierScreened.Load(), tierVerified.Load(), tierProbes.Load()
-}
-
-// TierValidations returns the validation rows of every tiered sweep run
-// so far, in execution order.
-func TierValidations() []TierValidationRow {
-	tierValMu.Lock()
-	defer tierValMu.Unlock()
-	return append([]TierValidationRow(nil), tierValRows...)
-}
-
-// ResetTierStats clears the tier counters and validation rows (tests).
-func ResetTierStats() {
-	tierScreened.Store(0)
-	tierVerified.Store(0)
-	tierProbes.Store(0)
-	tierValMu.Lock()
-	tierValRows = nil
-	tierValMu.Unlock()
-}
-
-func recordTierValidation(r TierValidationRow) {
-	tierValMu.Lock()
-	tierValRows = append(tierValRows, r)
-	tierValMu.Unlock()
+	Validation Validation
 }
 
 // estimatorFor builds the fast-tier estimator from a probe cell and its
@@ -190,10 +118,10 @@ func targetFor(c Cell, probeSpec hw.MachineSpec, est *eval.Estimator) (eval.Targ
 
 // RunCellsTiered screens every cell of every group analytically, verifies
 // the policy-selected subset by full simulation, and folds the sweep's
-// model-validation summary. Probe and verification simulations go through
-// the ordinary memoized pool, so anything another sweep (tiered or not)
-// already ran is shared, and verified Results are byte-identical to the
-// untiered path's.
+// model-vs-measured record, with pairs ranked within each group. Probe and
+// verification simulations go through the ordinary memoized pool, so
+// anything another sweep (tiered or not) already ran is shared, and
+// verified Results are byte-identical to the untiered path's.
 func RunCellsTiered(name string, groups []TierGroup, pol TierPolicy) (*TierRun, error) {
 	run := &TierRun{Name: name, Groups: groups}
 
@@ -219,7 +147,6 @@ func RunCellsTiered(name string, groups []TierGroup, pol TierPolicy) (*TierRun, 
 	if err != nil {
 		return nil, fmt.Errorf("tier %s probes: %w", name, err)
 	}
-	tierProbes.Add(int64(len(probeCells)))
 
 	ests := make([]*eval.Estimator, len(probeCells))
 	specs := make([]hw.MachineSpec, len(probeCells))
@@ -234,9 +161,8 @@ func RunCellsTiered(name string, groups []TierGroup, pol TierPolicy) (*TierRun, 
 
 	// Screen everything, then pick the verification set per group.
 	run.Cells = make([][]TierCell, len(groups))
-	var verifyCells []Cell
-	type ref struct{ g, i int }
-	var verifyRefs []ref
+	var picked []Candidate
+	var pickedAt [][2]int
 	for gi, g := range groups {
 		run.Cells[gi] = make([]TierCell, len(g.Cells))
 		for ci, c := range g.Cells {
@@ -249,26 +175,29 @@ func RunCellsTiered(name string, groups []TierGroup, pol TierPolicy) (*TierRun, 
 			if err != nil {
 				return nil, fmt.Errorf("tier %s %s cell %d: %w", name, g.Name, ci, err)
 			}
-			run.Cells[gi][ci] = TierCell{Cell: c, Pred: pred}
+			run.Cells[gi][ci] = TierCell{Candidate{Cell: c, Predicted: pred.ThroughputEPS}, pred}
 		}
-		tierScreened.Add(int64(len(g.Cells)))
 		for _, i := range pol.pick(run.Cells[gi]) {
-			verifyCells = append(verifyCells, g.Cells[i])
-			verifyRefs = append(verifyRefs, ref{gi, i})
+			picked = append(picked, run.Cells[gi][i].Candidate)
+			pickedAt = append(pickedAt, [2]int{gi, i})
 		}
 	}
-
-	verifyResults, err := runCells(verifyCells)
-	if err != nil {
+	if err := verify(picked); err != nil {
 		return nil, fmt.Errorf("tier %s verify: %w", name, err)
 	}
-	for i, r := range verifyRefs {
-		run.Cells[r.g][r.i].Res = verifyResults[i].Res
+	for k, at := range pickedAt {
+		run.Cells[at[0]][at[1]].Res = picked[k].Res
 	}
-	tierVerified.Add(int64(len(verifyCells)))
 
-	run.Validation = validateTier(name, run, len(probeCells))
-	recordTierValidation(run.Validation)
+	run.Validation = Validation{Decision: "tier", Name: name, Probes: len(probeCells)}
+	cands := make([][]Candidate, len(groups))
+	for gi, cells := range run.Cells {
+		run.Validation.Screened += len(cells)
+		for _, tc := range cells {
+			cands[gi] = append(cands[gi], tc.Candidate)
+		}
+	}
+	run.Validation.score(cands...)
 	return run, nil
 }
 
@@ -322,71 +251,6 @@ func (pol TierPolicy) pick(cells []TierCell) []int {
 	return out
 }
 
-// validateTier folds a finished tiered run into its validation row.
-func validateTier(name string, run *TierRun, probes int) TierValidationRow {
-	row := TierValidationRow{Sweep: name, Probes: probes}
-	conc, disc := 0, 0
-	var errSum float64
-	var errN int
-	for _, group := range run.Cells {
-		row.Screened += len(group)
-		var ver []*TierCell
-		for i := range group {
-			if group[i].Res != nil {
-				ver = append(ver, &group[i])
-			}
-		}
-		row.Verified += len(ver)
-		for i := 0; i < len(ver); i++ {
-			mi := ver[i].Res.Throughput().PerSecond()
-			if mi > 0 {
-				d := (ver[i].Pred.ThroughputEPS - mi) / mi
-				errSum += math.Abs(d)
-				errN++
-			}
-			for j := i + 1; j < len(ver); j++ {
-				pi, pj := ver[i].Pred.ThroughputEPS, ver[j].Pred.ThroughputEPS
-				if math.Abs(pi-pj) <= tierRankEps*math.Max(pi, pj) {
-					continue // model asserts no order at this resolution
-				}
-				mj := ver[j].Res.Throughput().PerSecond()
-				if mi == mj {
-					continue
-				}
-				if (pi > pj) == (mi > mj) {
-					conc++
-				} else {
-					disc++
-				}
-			}
-		}
-	}
-	row.Pairs = conc + disc
-	if row.Pairs > 0 {
-		row.RankTau = float64(conc-disc) / float64(row.Pairs)
-	}
-	if errN > 0 {
-		row.MeanErr = errSum / float64(errN)
-	}
-	return row
-}
-
-// TierValidationTable renders the per-sweep validation summary the -tier
-// report emits after its experiments (rank-tau >= 0.90 on every converted
-// sweep is the fast tier's accuracy gate; ci.sh asserts it on the smoke
-// sweep).
-func TierValidationTable(rows []TierValidationRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Tier validation — fast-tier predictions vs full simulation (verified cells)\n")
-	fmt.Fprintf(&b, "%-14s %9s %9s %7s %9s %7s %9s\n",
-		"sweep", "screened", "verified", "probes", "rank-tau", "pairs", "mean-err")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %9d %9d %7d %9.2f %7d %8.1f%%\n",
-			r.Sweep, r.Screened, r.Verified, r.Probes, r.RankTau, r.Pairs, r.MeanErr*100)
-	}
-	return b.String()
-}
-
 // TierEstimate is one cell's fast-tier estimate (dspbench -tier): the
 // probe that calibrated it and the resulting prediction.
 type TierEstimate struct {
@@ -405,7 +269,6 @@ func EstimateCell(c Cell) (*TierEstimate, error) {
 	if err != nil {
 		return nil, err
 	}
-	tierProbes.Add(1)
 	est, err := estimatorFor(probe, res)
 	if err != nil {
 		return nil, err
@@ -422,7 +285,6 @@ func EstimateCell(c Cell) (*TierEstimate, error) {
 	if err != nil {
 		return nil, err
 	}
-	tierScreened.Add(1)
 	return &TierEstimate{
 		Cell: c, Probe: probe,
 		ProbeThroughputEPS: res.Throughput().PerSecond(),

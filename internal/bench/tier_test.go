@@ -36,7 +36,6 @@ func TestProbeCell(t *testing.T) {
 // calibration probe is a cache hit, and the estimate itself is analytical.
 func TestEstimateCellSharesProbe(t *testing.T) {
 	ResetMemo()
-	ResetTierStats()
 	cell := Cell{App: "wc", System: "storm", Sockets: 1, BatchSize: 8}
 	if _, err := Run(ProbeCell(cell)); err != nil {
 		t.Fatal(err)
@@ -54,19 +53,20 @@ func TestEstimateCellSharesProbe(t *testing.T) {
 	if est.Pred.ThroughputEPS <= 0 || est.ProbeThroughputEPS <= 0 {
 		t.Fatalf("estimate not positive: %+v", est)
 	}
-	if sc, ver, pr := TierStats(); sc != 1 || ver != 0 || pr != 1 {
-		t.Fatalf("tier stats = %d screened, %d verified, %d probes", sc, ver, pr)
+	if est.Cell.Canonical() != cell.Canonical() || est.Probe.Canonical() != ProbeCell(cell).Canonical() {
+		t.Fatalf("estimate screened %s on probe %s, want %s on %s",
+			est.Cell.Canonical(), est.Probe.Canonical(), cell.Canonical(), ProbeCell(cell).Canonical())
 	}
 }
 
 // TestRunCellsTiered pins the tiered sweep contract on a small batching
 // group: every cell is screened, the selection is the policy's (anchor +
 // predicted best + midpoint, within budget), verified results are the
-// memoized ones the untiered path returns, and the validation row is
-// recorded. Running the same sweep again must reproduce the selection.
+// memoized ones the untiered path returns, and the validation record is
+// returned. Running the same sweep again must reproduce the selection
+// and the record: nothing carries over between runs.
 func TestRunCellsTiered(t *testing.T) {
 	ResetMemo()
-	ResetTierStats()
 	group := TierGroup{Name: "wc/storm", Cells: []Cell{
 		{App: "wc", System: "storm", Sockets: 1, BatchSize: 1},
 		{App: "wc", System: "storm", Sockets: 1, BatchSize: 2},
@@ -118,12 +118,9 @@ func TestRunCellsTiered(t *testing.T) {
 	if got, want := MemoStats().Runs, int64(1+len(verified)); got != want {
 		t.Fatalf("simulations = %d, want %d (1 probe + %d verified)", got, want, len(verified))
 	}
-	if run.Validation.Screened != 4 || run.Validation.Verified != 3 || run.Validation.Probes != 1 {
-		t.Fatalf("validation row %+v", run.Validation)
-	}
-	rows := TierValidations()
-	if len(rows) != 1 || rows[0] != run.Validation {
-		t.Fatalf("recorded validations %+v", rows)
+	if v := run.Validation; v.Decision != "tier" || v.Name != "tier-test" ||
+		v.Screened != 4 || v.Verified != 3 || v.Probes != 1 {
+		t.Fatalf("validation record %+v", v)
 	}
 
 	// The sweep is deterministic: a second run reproduces the selection and
@@ -142,6 +139,9 @@ func TestRunCellsTiered(t *testing.T) {
 		if (again.Cells[0][i].Res != nil) != (run.Cells[0][i].Res != nil) {
 			t.Fatalf("cell %d verification selection changed across runs", i)
 		}
+	}
+	if again.Validation != run.Validation {
+		t.Fatalf("repeat sweep record %+v, first run %+v", again.Validation, run.Validation)
 	}
 }
 

@@ -286,7 +286,8 @@ func SpecMatrixTable(run *TierRun) string {
 // tier's ranking over ALL cells (not just verified ones — the full
 // simulations are available here) reaches rank-tau >= 0.90. Either
 // failure returns an error, which dspreport turns into a non-zero exit.
-func TierSmoke() (string, error) {
+// The second return value is the tiered sweep's own record.
+func TierSmoke() (string, Validation, error) {
 	const tauGate = 0.90
 	sizes := []int{1, 2, 4, 8}
 	var groups []TierGroup
@@ -301,17 +302,7 @@ func TierSmoke() (string, error) {
 	}
 	run, err := RunCellsTiered("tier-smoke", groups, TierPolicy{Budget: 3, Midpoint: true})
 	if err != nil {
-		return "", err
-	}
-
-	// Exhaustive reference pass (memo-shared with the verified rows).
-	var all []Cell
-	for _, g := range groups {
-		all = append(all, g.Cells...)
-	}
-	full, err := runCells(all)
-	if err != nil {
-		return "", err
+		return "", Validation{}, err
 	}
 
 	// (1) Verified-row identity against independent direct simulations.
@@ -323,54 +314,38 @@ func TierSmoke() (string, error) {
 			}
 			direct, err := runDirect(tc.Cell)
 			if err != nil {
-				return "", err
+				return "", Validation{}, err
 			}
 			if err := sameResult(tc.Res, direct); err != nil {
-				return "", fmt.Errorf("tier-smoke: verified row %s/%s S=%d differs from the full-sim path: %w",
+				return "", Validation{}, fmt.Errorf("tier-smoke: verified row %s/%s S=%d differs from the full-sim path: %w",
 					tc.Cell.App, tc.Cell.System, tc.Cell.BatchSize, err)
 			}
 			checked++
 		}
 	}
 
-	// (2) Rank-tau over every cell of every group.
-	conc, disc := 0, 0
-	fi := 0
-	for gi := range run.Cells {
-		cells := run.Cells[gi]
-		meas := make([]float64, len(cells))
-		for i := range cells {
-			meas[i] = full[fi].Res.Throughput().PerSecond()
-			fi++
+	// (2) Rank-tau over every cell of every group, each simulated through
+	// the memoized pool (shared with the verified rows).
+	all := make([][]Candidate, len(run.Cells))
+	for gi, cells := range run.Cells {
+		for _, tc := range cells {
+			all[gi] = append(all[gi], Candidate{Cell: tc.Cell, Predicted: tc.Predicted})
 		}
-		for i := 0; i < len(cells); i++ {
-			for j := i + 1; j < len(cells); j++ {
-				pi, pj := cells[i].Pred.ThroughputEPS, cells[j].Pred.ThroughputEPS
-				if math.Abs(pi-pj) <= tierRankEps*math.Max(pi, pj) || meas[i] == meas[j] {
-					continue
-				}
-				if (pi > pj) == (meas[i] > meas[j]) {
-					conc++
-				} else {
-					disc++
-				}
-			}
+		if err := verify(all[gi]); err != nil {
+			return "", Validation{}, err
 		}
 	}
-	tau := 0.0
-	if conc+disc > 0 {
-		tau = float64(conc-disc) / float64(conc+disc)
-	}
+	var sweep Validation
+	sweep.score(all...)
 
 	var b strings.Builder
-	b.WriteString(TierValidationTable([]TierValidationRow{run.Validation}))
 	fmt.Fprintf(&b, "tier-smoke: %d verified row(s) bit-identical to the full-sim path\n", checked)
-	fmt.Fprintf(&b, "tier-smoke: full-sweep rank-tau %.2f over %d pairs (gate >= %.2f)\n", tau, conc+disc, tauGate)
-	if tau < tauGate {
-		return b.String(), fmt.Errorf("tier-smoke: rank-tau %.2f below gate %.2f", tau, tauGate)
+	fmt.Fprintf(&b, "tier-smoke: full-sweep rank-tau %.2f over %d pairs (gate >= %.2f)\n", sweep.RankTau, sweep.Pairs, tauGate)
+	if sweep.RankTau < tauGate {
+		return b.String(), run.Validation, fmt.Errorf("tier-smoke: rank-tau %.2f below gate %.2f", sweep.RankTau, tauGate)
 	}
 	b.WriteString("tier-smoke: PASS\n")
-	return b.String(), nil
+	return b.String(), run.Validation, nil
 }
 
 // sameResult compares the fields a benchmark row is built from, bit for

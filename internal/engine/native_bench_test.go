@@ -137,4 +137,3 @@ func TestRingMsgTransferZeroAllocs(t *testing.T) {
 		t.Fatalf("Msg ring transfer allocates %.1f per op, want 0", allocs)
 	}
 }
-

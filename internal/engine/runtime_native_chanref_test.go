@@ -311,9 +311,9 @@ func (c *chanRefCtx) EmitTo(stream string, values ...Value) {
 	c.ex.buffers[stream] = append(c.ex.buffers[stream], t)
 }
 
-func (c *chanRefCtx) ExecutorID() int      { return c.ex.index }
-func (c *chanRefCtx) Parallelism() int     { return c.ex.node.Parallelism }
-func (c *chanRefCtx) OperatorName() string { return c.ex.node.Name }
+func (c *chanRefCtx) ExecutorID() int         { return c.ex.index }
+func (c *chanRefCtx) Parallelism() int        { return c.ex.node.Parallelism }
+func (c *chanRefCtx) OperatorName() string    { return c.ex.node.Name }
 func (c *chanRefCtx) Work(uops, branches int) {}
 func (c *chanRefCtx) AccessState(bytes int)   {}
 func (c *chanRefCtx) ScanState(bytes int)     {}
