@@ -80,9 +80,10 @@ DSP_STRESS=1 go test -race -run TestRingStress -count=1 ./internal/ring/
 # falls below tau = 0.90 (bench.TierSmoke).
 go run ./cmd/dspreport -tier -experiment tier-smoke -quiet >/dev/null
 # Joint-search stage. Three gates:
-#   (1) worker-count independence: the joint strategy's printed plan list
-#       must be byte-identical at -jobs 1 and -jobs 8 (the search splits
-#       its assignment tree across workers; the merge must not leak
+#   (1) worker-count independence: the bnb and joint strategies' printed
+#       plan lists (the pools the report's placement and joint decisions
+#       rank) must be byte-identical at -jobs 1 and -jobs 8 (the search
+#       splits its assignment tree across workers; the merge must not leak
 #       scheduling order);
 #   (2) the joint B&B determinism test under the race detector;
 #   (3) dspreport's joint-smoke experiment, which simulates EVERY
@@ -90,9 +91,11 @@ go run ./cmd/dspreport -tier -experiment tier-smoke -quiet >/dev/null
 #       the screened-vs-measured rank correlation falls below tau = 0.90
 #       or the joint winner regresses below the placement-only winner.
 go build -o "$BENCH_DIR/dspplace" ./cmd/dspplace
-(cd "$BENCH_DIR" && ./dspplace -app wc -system storm -strategy joint -scale 2 -batch 8 -jobs 1 > joint_j1.txt)
-(cd "$BENCH_DIR" && ./dspplace -app wc -system storm -strategy joint -scale 2 -batch 8 -jobs 8 > joint_j8.txt)
-diff "$BENCH_DIR/joint_j1.txt" "$BENCH_DIR/joint_j8.txt" || { echo "ci: joint search output differs across -jobs" >&2; exit 1; }
+for strategy in bnb joint; do
+  (cd "$BENCH_DIR" && ./dspplace -app wc -system storm -strategy "$strategy" -scale 2 -batch 8 -jobs 1 > "${strategy}_j1.txt")
+  (cd "$BENCH_DIR" && ./dspplace -app wc -system storm -strategy "$strategy" -scale 2 -batch 8 -jobs 8 > "${strategy}_j8.txt")
+  diff "$BENCH_DIR/${strategy}_j1.txt" "$BENCH_DIR/${strategy}_j8.txt" || { echo "ci: $strategy search output differs across -jobs" >&2; exit 1; }
+done
 go test -race -run 'TestSearchJointDeterministicAcrossWorkers' -count=1 ./internal/place/
 go run ./cmd/dspreport -experiment joint-smoke -quiet >/dev/null
 # Tail stage. Three gates:

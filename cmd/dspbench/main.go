@@ -122,12 +122,17 @@ func main() {
 	if *placeOpt {
 		if *sockets == 4 {
 			// Model-guided search (internal/place): calibrate from a probe,
-			// rank assignments by predicted bottleneck, verify the top few.
+			// rank assignments by predicted bottleneck, verify the top few
+			// against the unplaced run.
 			ps, err := bench.SearchPlacement(*app, *system, *batch, *scale)
 			fail(err)
 			cell.Placement = bench.PlacementMap(ps.Winner)
-			fmt.Printf("placement: model-guided search, k=%d, %d plans ranked, %d verified, best %.1f k events/s\n",
-				ps.WinnerK, ps.Validation.Screened, ps.Validation.Verified, ps.Throughput/1e3)
+			winner := fmt.Sprintf("k=%d", ps.WinnerK)
+			if ps.Kept {
+				winner = "kept the unplaced run"
+			}
+			fmt.Printf("placement: model-guided search, %s, %d plans ranked, %d verified, best %.1f k events/s\n",
+				winner, ps.Validation.Screened, ps.Validation.Verified, ps.Throughput/1e3)
 		} else {
 			topo, err := cell.Topology()
 			fail(err)

@@ -3,12 +3,13 @@
 // solves the capacity-constrained min-k-cut for k = 1..sockets, and prints
 // each plan with its Equation 1 cross-socket communication cost.
 //
-// -strategy selects a placement strategy instead: "min-k-cut" (the
-// default flow's balanced variant), "bnb" (probe-calibrated placement-only
-// branch-and-bound), or "joint" (joint parallelism + placement search,
-// BriskStream's RLAS). The model-driven strategies run one probe
-// simulation to calibrate the cost model and print their ranked plans;
-// output is deterministic and independent of -jobs.
+// -strategy prints one planner's ranked plans instead: "min-k-cut" (the
+// default flow's balanced plans, ranked by cut cost), "bnb" (the pool the
+// report's placement decision ranks: the min-k-cut seeds merged with the
+// probe-calibrated branch-and-bound's plans), or "joint" (the report's
+// joint parallelism + placement search, BriskStream's RLAS). bnb and
+// joint run one probe simulation to calibrate the cost model and simulate
+// nothing else; output is deterministic and independent of -jobs.
 //
 // Usage:
 //
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"streamscale/internal/apps"
 	"streamscale/internal/bench"
@@ -74,7 +76,7 @@ func main() {
 		fmt.Printf("\n%s plans:\n", mode)
 		for _, p := range plans {
 			fmt.Printf("  k=%d  cost=%10.2f  (%.0f%% of total weight cut)\n",
-				p.K, p.Cost, 100*p.Cost/maxf(g.TotalWeight(), 1e-9))
+				p.K, p.Cost, 100*p.Cost/max(g.TotalWeight(), 1e-9))
 			if *verbose {
 				counts := map[int][]string{}
 				for v, s := range p.Assign {
@@ -90,65 +92,80 @@ func main() {
 	fmt.Printf("\nround-robin baseline: cost=%.2f\n", rr.Cost)
 }
 
-// runStrategy routes a one-off search through the pluggable Strategy
-// interface. The model strategies calibrate from one probe simulation (the
-// unplaced four-socket baseline, batch 1) exactly like the report flow.
+// runStrategy prints one planner's ranked plans. bnb and joint calibrate
+// from one probe simulation (the unplaced four-socket baseline, batch 1)
+// exactly like the report flow, and run the report's searches.
 func runStrategy(name, app, system string, sockets, scale, batch, jobs int) error {
-	strat, ok := place.StrategyByName(name)
-	if !ok {
-		names := []string{}
-		for _, s := range place.Strategies() {
-			names = append(names, s.Name())
-		}
-		return fmt.Errorf("unknown strategy %q (have %v)", name, names)
-	}
 	bench.SetJobs(jobs)
 	bench.SetProgress(false)
 
-	cell := bench.Cell{App: app, Seed: 1, Scale: scale}
-	topo, err := cell.Topology()
-	if err != nil {
-		return err
+	type plan struct {
+		assign, par []int
+		score       float64
+		seed        bool
 	}
-	sys := engine.Storm()
-	if system == "flink" {
-		sys = engine.Flink()
-	}
-	prob := place.Problem{Sockets: sockets}
-	prob.Graph, err = place.BuildCommGraph(topo, sys)
-	if err != nil {
-		return err
-	}
-
+	var plans []plan
 	var w *place.Workload
-	if name != "min-k-cut" {
+	switch name {
+	case "min-k-cut":
+		topo, err := bench.Cell{App: app, Seed: 1, Scale: scale}.Topology()
+		if err != nil {
+			return err
+		}
+		sys := engine.Storm()
+		if system == "flink" {
+			sys = engine.Flink()
+		}
+		g, err := place.BuildCommGraph(topo, sys)
+		if err != nil {
+			return err
+		}
+		if sockets <= 0 {
+			sockets = 4
+		}
+		ps, err := place.Plans(g, sockets, place.PlaceOptions{Balanced: true})
+		if err != nil {
+			return err
+		}
+		// Plans are per-k; rank by cut cost, ties to fewer sockets (the
+		// enumeration is ascending in k, and the sort is stable).
+		sort.SliceStable(ps, func(i, j int) bool { return ps[i].Cost < ps[j].Cost })
+		for _, p := range ps {
+			plans = append(plans, plan{assign: p.Assign, score: p.Cost})
+		}
+	case "bnb":
+		pool, err := bench.PlacementPool(app, system, batch, scale)
+		if err != nil {
+			return err
+		}
+		for _, p := range pool {
+			plans = append(plans, plan{assign: p.Assign, score: p.Score, seed: p.Seed})
+		}
+	case "joint":
+		var err error
 		if w, err = bench.Calibrate(app, system, batch, scale); err != nil {
 			return err
 		}
-		prob.Model, prob.Workload = w.Model, w
+		res, err := w.SearchJoint(place.JointOptions{Search: place.SearchOptions{Workers: jobs}})
+		if err != nil {
+			return err
+		}
+		for _, c := range res.Candidates {
+			plans = append(plans, plan{assign: c.Assign, par: c.Par, score: c.Score})
+		}
+	default:
+		return fmt.Errorf("unknown strategy %q (have [min-k-cut bnb joint])", name)
 	}
 
-	// Worker counts flow through the strategy options; results are
-	// identical at any value (the CI jobs-diff stage pins this).
-	switch s := strat.(type) {
-	case place.BnBStrategy:
-		s.Opts.Workers = jobs
-		strat = s
-	case place.JointStrategy:
-		s.Opts.Search.Workers = jobs
-		strat = s
-	}
-
-	decisions, err := strat.Plan(prob)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("%s/%s strategy=%s scale=%d batch=%d: %d plan(s)\n",
-		app, system, strat.Name(), scale, batch, len(decisions))
-	for i, d := range decisions {
-		fmt.Printf("  #%d score=%12.2f k=%d assign=%s", i+1, d.Score, distinct(d.Assign), assignString(d.Assign))
-		if d.Par != nil && w != nil {
-			fmt.Printf(" par=%s", parString(w, d.Par))
+		app, system, name, scale, batch, len(plans))
+	for i, p := range plans {
+		fmt.Printf("  #%d score=%12.2f k=%d assign=%s", i+1, p.score, distinct(p.assign), assignString(p.assign))
+		if p.par != nil {
+			fmt.Printf(" par=%s", parString(w, p.par))
+		}
+		if p.seed {
+			fmt.Printf(" seed")
 		}
 		fmt.Println()
 	}
@@ -169,11 +186,7 @@ func parString(w *place.Workload, par []int) string {
 		return "default"
 	}
 	sort.Strings(parts)
-	s := parts[0]
-	for _, p := range parts[1:] {
-		s += "," + p
-	}
-	return s
+	return strings.Join(parts, ",")
 }
 
 func assignString(assign []int) string {
@@ -193,13 +206,6 @@ func distinct(assign []int) int {
 		seen[s] = true
 	}
 	return len(seen)
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fail(err error) {

@@ -505,8 +505,21 @@ type PlacementRow struct {
 	FourSockets  float64
 	Placed       float64
 	Combined     float64
-	// BestK is the socket count of the winning placement plan.
+	// BestK is the socket count of the winning placement plan (0 when
+	// the batch-1 decision kept the unplaced run).
 	BestK int
+	// PlacedKept and CombinedKept mark the rows whose batch-1 and batched
+	// decisions kept their incumbent, the unplaced run.
+	PlacedKept, CombinedKept bool
+}
+
+// keptMark is the suffix a Fig 14/15 row carries when its decision kept
+// the unplaced run: no verified plan measured strictly faster.
+func keptMark(kept bool) string {
+	if kept {
+		return "  (kept unplaced)"
+	}
+	return ""
 }
 
 // Placement runs the Fig 14 and Fig 15 studies: single socket, four
@@ -555,6 +568,8 @@ func Placement() ([]PlacementRow, []Validation, error) {
 				Placed:       placed.Throughput / base,
 				Combined:     comb.Throughput / base,
 				BestK:        placed.WinnerK,
+				PlacedKept:   placed.Kept,
+				CombinedKept: comb.Kept,
 			})
 			v := placed.Validation
 			v.Screened += comb.Validation.Screened
@@ -575,8 +590,12 @@ func Fig14Table(rows []PlacementRow) string {
 			if r.System != sys {
 				continue
 			}
-			fmt.Fprintf(&b, "%-6s %-6s %9.0f%% %9.0f%% %11.0f%% %6d\n",
-				r.System, r.App, r.SingleSocket*100, r.FourSockets*100, r.Placed*100, r.BestK)
+			bestK := "-"
+			if r.BestK > 0 {
+				bestK = fmt.Sprint(r.BestK)
+			}
+			fmt.Fprintf(&b, "%-6s %-6s %9.0f%% %9.0f%% %11.0f%% %6s%s\n",
+				r.System, r.App, r.SingleSocket*100, r.FourSockets*100, r.Placed*100, bestK, keptMark(r.PlacedKept))
 		}
 	}
 	return b.String()
@@ -592,8 +611,8 @@ func Fig15Table(rows []PlacementRow) string {
 			if r.System != sys {
 				continue
 			}
-			fmt.Fprintf(&b, "%-6s %-6s %9.0f%% %9.0f%% %11.0f%%\n",
-				r.System, r.App, r.SingleSocket*100, r.FourSockets*100, r.Combined*100)
+			fmt.Fprintf(&b, "%-6s %-6s %9.0f%% %9.0f%% %11.0f%%%s\n",
+				r.System, r.App, r.SingleSocket*100, r.FourSockets*100, r.Combined*100, keptMark(r.CombinedKept))
 		}
 	}
 	return b.String()

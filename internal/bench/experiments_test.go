@@ -225,15 +225,14 @@ func TestPlacementHelps(t *testing.T) {
 		t.Fatal(err)
 	}
 	k, tp := ps.WinnerK, ps.Throughput
-	// Placement is roughly neutral for WC (our OS-spread baseline already
-	// has sticky threads and first-touch locality; see EXPERIMENTS.md) and
-	// must never be materially worse than it.
+	// The unplaced run is the decision's incumbent, so placement can never
+	// measure below it.
 	ratio := tp / base.Throughput().PerSecond()
-	if ratio < 0.95 {
-		t.Errorf("placement ratio = %.2f, must not materially hurt", ratio)
+	if ratio < 1.0 {
+		t.Errorf("placement ratio = %.2f, must not hurt", ratio)
 	}
-	if k < 1 || k > 4 {
-		t.Errorf("best k = %d out of range", k)
+	if k < 0 || k > 4 || (k == 0) != ps.Kept {
+		t.Errorf("best k = %d out of range (kept=%v)", k, ps.Kept)
 	}
 }
 

@@ -29,9 +29,10 @@ type JointSearch struct {
 	App, System string
 	Batch       int
 
-	// Winner describes the measured-best configuration: the fixed winner's
-	// placement under the default parallelism, or a verified joint
-	// configuration that measured strictly better.
+	// Winner describes the measured-best configuration: the placement
+	// decision's result under the default parallelism (unplaced when that
+	// decision kept its incumbent), or a verified joint configuration that
+	// measured strictly better.
 	Winner struct {
 		// Par is nil when the winner keeps the default parallelism.
 		Par       []int
@@ -54,16 +55,11 @@ type JointSearch struct {
 	Validation      Validation
 }
 
-// jointSearchOptions trims the per-row joint search to sweep cost (the
-// same budget the joint-shift sweep uses, TopM aside): the lighter budget
-// surfaces the same winning vectors, and every adopted plan is verified by
-// simulation anyway, so extra search depth buys nothing the measured
-// winner rule doesn't already guarantee.
-func jointSearchOptions(workers int) place.JointOptions {
-	return place.JointOptions{
-		TopVectors: 4,
-		Search:     place.SearchOptions{TopM: 2, NodeBudget: 4000, SplitDepth: 2, Workers: workers},
-	}
+// jointSearchOptions are the joint search's defaults on the harness's
+// worker count: the per-row search and the joint-shift sweep both run
+// them.
+func jointSearchOptions() place.JointOptions {
+	return place.JointOptions{Search: place.SearchOptions{Workers: Jobs()}}
 }
 
 // jointOverride maps a parallelism vector to the Cell override form: only
@@ -94,7 +90,7 @@ func SearchJoint(app, system string, batch, scale int) (*JointSearch, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := w.SearchJoint(jointSearchOptions(Jobs()))
+	res, err := w.SearchJoint(jointSearchOptions())
 	if err != nil {
 		return nil, fmt.Errorf("joint search %s/%s: %w", app, system, err)
 	}

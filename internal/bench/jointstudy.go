@@ -93,16 +93,6 @@ type JointShiftRow struct {
 	Shifts int
 }
 
-// jointShiftOptions are deliberately smaller than the verification
-// search's: this sweep is analytic-only (nothing is simulated), runs
-// 6 variants x 14 rows, and only the winner is reported.
-func jointShiftOptions(workers int) place.JointOptions {
-	return place.JointOptions{
-		TopM: 1, TopVectors: 4,
-		Search: place.SearchOptions{TopM: 2, NodeBudget: 4000, SplitDepth: 2, Workers: workers},
-	}
-}
-
 // JointShift recalibrates each row's probe model onto every machine-spec
 // variant (place.Workload.Retarget — no new simulations) and re-runs the
 // joint search, showing where the parallelism/placement optimum moves when
@@ -127,7 +117,7 @@ func JointShift() ([]JointShiftRow, Validation, error) {
 					spec, _ := hw.Variant(variant)
 					w = base.Retarget(spec)
 				}
-				res, err := w.SearchJoint(jointShiftOptions(Jobs()))
+				res, err := w.SearchJoint(jointSearchOptions())
 				if err != nil {
 					return nil, Validation{}, fmt.Errorf("joint shift %s/%s/%s: %w", app, sys, variant, err)
 				}

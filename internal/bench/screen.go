@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"streamscale/internal/engine"
@@ -61,9 +62,10 @@ func verify(cands []Candidate) error {
 // measuredWinner returns the index of the verified candidate with the
 // highest measured throughput, or -1 when none measures strictly above the
 // incumbent's throughput: a tie with the incumbent keeps the incumbent,
-// and a tie between candidates goes to the smaller Key (place.Less), so
-// the order candidates were generated in never decides. A decision with no
-// incumbent passes math.Inf(-1).
+// and a tie between candidates goes to the smaller Key (slices.Compare), so
+// the order candidates were generated in never decides. Every decision has
+// an incumbent: the unplaced run for placement, the placement result for
+// joint search.
 func measuredWinner(cands []Candidate, incumbent float64) int {
 	best, bestM := -1, incumbent
 	for i := range cands {
@@ -71,7 +73,7 @@ func measuredWinner(cands []Candidate, incumbent float64) int {
 			continue
 		}
 		m := cands[i].Measured()
-		if m > bestM || (best >= 0 && m == bestM && place.Less(cands[i].Key, cands[best].Key)) {
+		if m > bestM || (best >= 0 && m == bestM && slices.Compare(cands[i].Key, cands[best].Key) < 0) {
 			best, bestM = i, m
 		}
 	}

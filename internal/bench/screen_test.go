@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"streamscale/internal/engine"
@@ -59,11 +60,10 @@ func TestValidationScore(t *testing.T) {
 	}
 }
 
-// The measured-winner rule is part of the determinism contract: with no
-// incumbent, equal measurements resolve to the lexicographically smallest
-// key regardless of verification order (the placement search); with an
-// incumbent, a candidate must measure strictly better to replace it (the
-// joint search).
+// The measured-winner rule is part of the determinism contract: equal
+// measurements resolve to the lexicographically smallest key regardless of
+// verification order, and a candidate must measure strictly better than
+// the incumbent to replace it.
 func TestMeasuredWinner(t *testing.T) {
 	noInc := math.Inf(-1)
 	cases := []struct {
@@ -97,6 +97,38 @@ func TestMeasuredWinner(t *testing.T) {
 	for _, tc := range cases {
 		if got := measuredWinner(tc.cands, tc.incumbent); got != tc.want {
 			t.Errorf("%s: measuredWinner = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// A placement decision's incumbent is the unplaced run at the row's
+// batch: it stands unless a verified plan measures strictly faster.
+func TestPlacementKeepsUnplacedIncumbent(t *testing.T) {
+	cases := []struct {
+		name     string
+		verified []Candidate
+		unplaced float64
+		winner   []int
+		tp       float64
+	}{
+		{"every plan slower", []Candidate{
+			measured([]int{0, 0, 1}, 900, 480), measured([]int{0, 1, 2}, 800, 450),
+		}, 500, nil, 500},
+		{"tie keeps the unplaced run", []Candidate{
+			measured([]int{0, 1, 1}, 900, 500), measured([]int{0, 0, 1}, 800, 500),
+		}, 500, nil, 500},
+		{"strictly faster plan wins", []Candidate{
+			measured([]int{0, 1, 1}, 900, 500), measured([]int{0, 0, 1}, 800, 501),
+		}, 500, []int{0, 0, 1}, 501},
+	}
+	for _, tc := range cases {
+		ps := &PlacementSearch{Verified: tc.verified}
+		ps.decide(tc.unplaced)
+		kept := tc.winner == nil
+		if !slices.Equal(ps.Winner, tc.winner) || ps.Throughput != tc.tp || ps.Kept != kept ||
+			(ps.WinnerK == 0) != kept {
+			t.Errorf("%s: winner %v (k=%d) at %v kept=%v, want %v at %v kept=%v",
+				tc.name, ps.Winner, ps.WinnerK, ps.Throughput, ps.Kept, tc.winner, tc.tp, kept)
 		}
 	}
 }

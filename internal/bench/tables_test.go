@@ -8,6 +8,8 @@ import "testing"
 
 var goldenPlacementRows = []PlacementRow{
 	{App: "wc", System: "storm", SingleSocket: 0.3012, FourSockets: 1, Placed: 1.2149, Combined: 4.018, BestK: 1},
+	{App: "tm", System: "storm", SingleSocket: 0.3301, FourSockets: 1, Placed: 1, Combined: 0.9914,
+		PlacedKept: true, CombinedKept: true},
 	{App: "lr", System: "flink", SingleSocket: 0.2598, FourSockets: 1, Placed: 1.0349, Combined: 3.501, BestK: 4},
 }
 
@@ -16,6 +18,7 @@ func TestFig14TableGolden(t *testing.T) {
 		"Fig 14 — NUMA-aware executor placement (normalized to 4 sockets w/o optimizations)\n" +
 		"sys    app      1 socket  4 sockets    4s+placed  bestK\n" +
 		"storm  wc            30%       100%         121%      1\n" +
+		"storm  tm            33%       100%         100%      -  (kept unplaced)\n" +
 		"flink  lr            26%       100%         103%      4\n"
 	if got := Fig14Table(goldenPlacementRows); got != want {
 		t.Errorf("Fig14Table drifted:\ngot:\n%s\nwant:\n%s", got, want)
@@ -27,6 +30,7 @@ func TestFig15TableGolden(t *testing.T) {
 		"Fig 15 — both optimizations (batching S=8 + placement), normalized to 4 sockets w/o optimizations\n" +
 		"sys    app      1 socket  4 sockets      4s+both\n" +
 		"storm  wc            30%       100%         402%\n" +
+		"storm  tm            33%       100%          99%  (kept unplaced)\n" +
 		"flink  lr            26%       100%         350%\n"
 	if got := Fig15Table(goldenPlacementRows); got != want {
 		t.Errorf("Fig15Table drifted:\ngot:\n%s\nwant:\n%s", got, want)

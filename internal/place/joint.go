@@ -3,6 +3,7 @@ package place
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"streamscale/internal/engine"
@@ -449,47 +450,35 @@ type JointCandidate struct {
 	Score float64
 }
 
-// JointOptions tunes SearchJoint. The zero value picks usable defaults.
+// JointOptions tunes SearchJoint. The zero value picks the defaults the
+// report runs.
 type JointOptions struct {
 	// TopM is how many joint configurations to return (default 6).
 	TopM int
 	// TopVectors is how many screened vectors get the full assignment
-	// branch-and-bound (default 6); the rest stop at the greedy screen.
+	// branch-and-bound (default 4); the rest stop at the greedy screen.
 	TopVectors int
-	// MaxPar caps any operator's parallelism (default 2x its probe value,
-	// never above the machine's core count).
-	MaxPar int
 	// VectorBudget bounds enumerated vectors (default 4096); enumeration
 	// order is deterministic, so a truncation is reproducible.
 	VectorBudget int
-	// Search tunes the per-vector assignment search. Defaults are reduced
-	// from the placement-only search (TopM 4, NodeBudget 8000, SplitDepth
-	// 2): the joint search runs many inner searches, and the screened
-	// vectors' greedy incumbents already bound them tightly.
+	// Search tunes the per-vector assignment search. Its TopM defaults to
+	// 2 plans per vector, not the placement pool's 8: the joint search
+	// runs many inner searches, and only a vector's best plans can win.
 	Search SearchOptions
 }
 
-func (o *JointOptions) fill(w *Workload) {
+func (o *JointOptions) fill() {
 	if o.TopM <= 0 {
 		o.TopM = 6
 	}
 	if o.TopVectors <= 0 {
-		o.TopVectors = 6
-	}
-	if o.MaxPar <= 0 {
-		o.MaxPar = w.Model.Sockets * w.Model.CoresPerSocket
+		o.TopVectors = 4
 	}
 	if o.VectorBudget <= 0 {
 		o.VectorBudget = 4096
 	}
 	if o.Search.TopM <= 0 {
-		o.Search.TopM = 4
-	}
-	if o.Search.NodeBudget <= 0 {
-		o.Search.NodeBudget = 8000
-	}
-	if o.Search.SplitDepth <= 0 {
-		o.Search.SplitDepth = 2
+		o.Search.TopM = 2
 	}
 }
 
@@ -513,7 +502,7 @@ type JointResult struct {
 }
 
 // vectorChoices returns the candidate parallelism values for op i:
-// halve / keep / double, clamped to [1, MaxPar], deduplicated, ascending.
+// halve / keep / double, clamped to [1, maxPar], deduplicated, ascending.
 func (w *Workload) vectorChoices(i, maxPar int) []int {
 	k := w.Ops[i].Count
 	cand := []int{k / 2, k, 2 * k}
@@ -586,8 +575,10 @@ func (w *Workload) vectorFloor(par []int) float64 {
 // (the only parallelism is the inner search's, which is itself
 // worker-count-independent).
 func (w *Workload) SearchJoint(opts JointOptions) (*JointResult, error) {
-	opts.fill(w)
+	opts.fill()
 	res := &JointResult{DefaultPar: w.DefaultPar()}
+	// No operator outgrows the machine's core count.
+	maxPar := w.Model.Sockets * w.Model.CoresPerSocket
 
 	// Enumerate vectors depth-first over searchable ops, deterministic
 	// lexicographic order, budget-bounded.
@@ -608,7 +599,7 @@ func (w *Workload) SearchJoint(opts JointOptions) (*JointResult, error) {
 			}
 			return
 		}
-		for _, c := range w.vectorChoices(idx[d], opts.MaxPar) {
+		for _, c := range w.vectorChoices(idx[d], maxPar) {
 			cur[idx[d]] = c
 			enum(d+1, cur)
 		}
@@ -663,7 +654,7 @@ func (w *Workload) SearchJoint(opts JointOptions) (*JointResult, error) {
 		if pool[i].execs != pool[j].execs {
 			return pool[i].execs < pool[j].execs
 		}
-		return Less(pool[i].par, pool[j].par)
+		return slices.Compare(pool[i].par, pool[j].par) < 0
 	})
 	searched := pool
 	if len(searched) > opts.TopVectors {
@@ -675,11 +666,11 @@ func (w *Workload) SearchJoint(opts JointOptions) (*JointResult, error) {
 	// fixed-parallelism plan under the same model).
 	hasDefault := false
 	for _, s := range searched {
-		hasDefault = hasDefault || equalInts(s.par, res.DefaultPar)
+		hasDefault = hasDefault || slices.Equal(s.par, res.DefaultPar)
 	}
 	if !hasDefault {
 		for _, s := range pool {
-			if equalInts(s.par, res.DefaultPar) {
+			if slices.Equal(s.par, res.DefaultPar) {
 				searched = append(searched, s)
 				break
 			}
@@ -701,7 +692,7 @@ func (w *Workload) SearchJoint(opts JointOptions) (*JointResult, error) {
 	}
 	res.DefaultScore = math.Inf(1)
 	for _, c := range all {
-		if equalInts(c.Par, res.DefaultPar) && c.Score < res.DefaultScore {
+		if slices.Equal(c.Par, res.DefaultPar) && c.Score < res.DefaultScore {
 			res.DefaultScore = c.Score
 		}
 	}
@@ -713,10 +704,10 @@ func (w *Workload) SearchJoint(opts JointOptions) (*JointResult, error) {
 		if ei != ej {
 			return ei < ej
 		}
-		if !equalInts(all[i].Par, all[j].Par) {
-			return Less(all[i].Par, all[j].Par)
+		if c := slices.Compare(all[i].Par, all[j].Par); c != 0 {
+			return c < 0
 		}
-		return Less(all[i].Assign, all[j].Assign)
+		return slices.Compare(all[i].Assign, all[j].Assign) < 0
 	})
 	seen := make(map[string]bool, len(all))
 	for _, c := range all {
@@ -731,16 +722,4 @@ func (w *Workload) SearchJoint(opts JointOptions) (*JointResult, error) {
 		}
 	}
 	return res, nil
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -413,9 +413,11 @@ func TestSearchJointNeverWorseThanDefault(t *testing.T) {
 }
 
 // TestSearchJointScoresAreExact: every returned candidate's score equals
-// the re-priced model's bottleneck for its assignment.
+// the re-priced model's bottleneck for its assignment, with the fixed
+// per-message crossing cost priced too.
 func TestSearchJointScoresAreExact(t *testing.T) {
 	w := toyWorkload()
+	w.Model.CrossMsgCycles = 50
 	r, err := w.SearchJoint(JointOptions{})
 	if err != nil {
 		t.Fatal(err)

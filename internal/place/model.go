@@ -49,10 +49,11 @@ type Model struct {
 	// message (the queue-slot and header line transfers a crossing
 	// delivery pays regardless of payload size — what makes small control
 	// messages like acks expensive across sockets). Calibrate leaves it
-	// zero, so the placement search's ranking (and the default report) is
-	// unchanged; the fast-evaluation tier sets it to two remote DRAM
-	// latencies (queue slot line + index line each round-trip), where
-	// per-byte pricing alone underprices ack-heavy cross-socket traffic.
+	// zero: with it set, the joint search, which reads the same model,
+	// loses measured wins (DESIGN.md §12). The fast-evaluation tier sets
+	// it to two remote DRAM latencies (queue slot line + index line each
+	// round-trip), where per-byte pricing alone underprices ack-heavy
+	// cross-socket traffic.
 	// WithBatch scales it with 1/S (batching coalesces messages);
 	// Retarget re-prices it by the remote-latency ratio.
 	CrossMsgCycles float64
@@ -268,56 +269,15 @@ func (m *Model) Retarget(spec hw.MachineSpec) *Model {
 }
 
 // Bottleneck returns the predicted bottleneck cycles of one full
-// assignment (executor global index -> socket): the max over every
-// executor's serial demand (one thread cannot split across cores), every
-// socket's compute demand spread over its cores, every socket's DRAM
-// traffic against local bandwidth, and every directed socket pair's
-// crossing traffic against one QPI link. Lower is better; the minimum
-// over assignments is the model's choice.
-func (m *Model) Bottleneck(assign []int) float64 {
-	n := m.N()
-	if len(assign) != n {
-		panic(fmt.Sprintf("place: assignment length %d != %d executors", len(assign), n))
-	}
-	perExec := make([]float64, n)
-	copy(perExec, m.Compute)
-	sockCompute := make([]float64, m.Sockets)
-	sockMem := make([]float64, m.Sockets)
-	sockCount := make([]int, m.Sockets)
-	qpi := make([]float64, m.Sockets*m.Sockets)
-	for _, e := range m.Edges {
-		if assign[e.From] != assign[e.To] {
-			perExec[e.To] += m.RemotePenalty*e.Bytes + m.CrossMsgCycles*e.Msgs
-			qpi[assign[e.From]*m.Sockets+assign[e.To]] += e.Bytes
-		}
-	}
-	for i, s := range assign {
-		sockCompute[s] += perExec[i]
-		sockMem[s] += m.MemBytes[i]
-		sockCount[s]++
-	}
-	// Oversubscription interference: a socket with more executors than
-	// cores time-shares, and every resident pays scheduling delays on each
-	// invocation (kept out of the socket compute aggregate: switch costs
-	// delay the executor, they do not add throughput-relevant core work).
-	for i, s := range assign {
-		if sockCount[s] > m.CoresPerSocket {
-			perExec[i] += m.interference(i)
-		}
-	}
-	var b float64
-	for _, c := range perExec {
-		b = maxf(b, c)
-	}
-	cores := float64(m.CoresPerSocket)
-	for s := 0; s < m.Sockets; s++ {
-		b = maxf(b, sockCompute[s]/cores)
-		b = maxf(b, sockMem[s]/m.LocalBW)
-	}
-	for _, bytes := range qpi {
-		b = maxf(b, bytes/m.QPIBW)
-	}
-	return b
+// assignment (executor global index -> socket) on the whole machine:
+// BottleneckOn with no slice restriction.
+func (m *Model) Bottleneck(assign []int) float64 { return m.BottleneckOn(assign, 0, 0) }
+
+// crossing returns the consumer-side stall cycles edge e costs when its
+// endpoints sit on different sockets: the per-byte remote penalty plus the
+// fixed per-message cost.
+func (m *Model) crossing(e Edge) float64 {
+	return m.RemotePenalty*e.Bytes + m.CrossMsgCycles*e.Msgs
 }
 
 // interference returns executor i's total scheduling-delay cycles when
@@ -332,16 +292,22 @@ func (m *Model) interference(i int) float64 {
 	return d
 }
 
-// BottleneckOn is Bottleneck generalized to a machine slice: the first
-// `sockets` sockets are enabled (0 or out of range = all), and a nonzero
-// `cores` further restricts the slice to the machine's first n cores, so
-// the last covered socket may run only a few (exactly the simulator's
-// SimConfig.Sockets/Cores semantics). Per-socket compute spreads over that
-// socket's enabled cores only, and the oversubscription interference term
-// triggers against the same reduced count; DRAM bandwidth is per socket
-// and does not shrink with disabled cores. An executor assigned to a
-// socket with no enabled cores is infeasible and scores +Inf.
-// BottleneckOn(a, 0, 0) equals Bottleneck(a) (pinned by test).
+// BottleneckOn returns the predicted bottleneck cycles of one full
+// assignment (executor global index -> socket) on a machine slice: the
+// max over every executor's serial demand (one thread cannot split across
+// cores), every socket's compute demand spread over its enabled cores,
+// every socket's DRAM traffic against local bandwidth, and every directed
+// socket pair's crossing traffic against one QPI link. Lower is better;
+// the minimum over assignments is the model's choice.
+//
+// The first `sockets` sockets are enabled (0 or out of range = all), and a
+// nonzero `cores` further restricts the slice to the machine's first n
+// cores, so the last covered socket may run only a few (exactly the
+// simulator's SimConfig.Sockets/Cores semantics). The oversubscription
+// interference term triggers against the enabled core count; DRAM
+// bandwidth is per socket and does not shrink with disabled cores. An
+// executor assigned to a socket with no enabled cores is infeasible and
+// scores +Inf.
 func (m *Model) BottleneckOn(assign []int, sockets, cores int) float64 {
 	n := m.N()
 	if len(assign) != n {
@@ -377,7 +343,7 @@ func (m *Model) BottleneckOn(assign []int, sockets, cores int) float64 {
 	}
 	for _, e := range m.Edges {
 		if assign[e.From] != assign[e.To] {
-			perExec[e.To] += m.RemotePenalty*e.Bytes + m.CrossMsgCycles*e.Msgs
+			perExec[e.To] += m.crossing(e)
 			qpi[assign[e.From]*m.Sockets+assign[e.To]] += e.Bytes
 		}
 	}
@@ -386,6 +352,10 @@ func (m *Model) BottleneckOn(assign []int, sockets, cores int) float64 {
 		sockMem[s] += m.MemBytes[i]
 		sockCount[s]++
 	}
+	// Oversubscription interference: a socket with more executors than
+	// cores time-shares, and every resident pays scheduling delays on each
+	// invocation (kept out of the socket compute aggregate: switch costs
+	// delay the executor, they do not add throughput-relevant core work).
 	for i, s := range assign {
 		if sockCount[s] > coresOn(s) {
 			perExec[i] += m.interference(i)
@@ -417,14 +387,9 @@ func (m *Model) PredictThroughputOn(assign []int, sockets, cores int) float64 {
 	return float64(m.SourceEvents) * float64(m.ClockHz) / b
 }
 
-// PredictThroughput converts a predicted bottleneck to events per second.
-func (m *Model) PredictThroughput(assign []int) float64 {
-	b := m.Bottleneck(assign)
-	if b <= 0 {
-		return 0
-	}
-	return float64(m.SourceEvents) * float64(m.ClockHz) / b
-}
+// PredictThroughput converts a predicted bottleneck on the whole machine
+// to events per second.
+func (m *Model) PredictThroughput(assign []int) float64 { return m.PredictThroughputOn(assign, 0, 0) }
 
 func maxf(a, b float64) float64 {
 	if a > b {

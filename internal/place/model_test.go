@@ -23,28 +23,6 @@ func assignments(n, sockets int) [][]int {
 	return [][]int{all0, rr, split}
 }
 
-// TestBottleneckOnMatchesBottleneck pins the equivalence BottleneckOn
-// promises in its doc comment: with no slice restriction (sockets=0,
-// cores=0) it must reproduce Bottleneck exactly, for assignments that
-// exercise the serial, socket-aggregate, QPI, and interference terms.
-func TestBottleneckOnMatchesBottleneck(t *testing.T) {
-	res, sys := probe(t)
-	m, err := Calibrate(res, hw.TableIII(), sys, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range assignments(m.N(), m.Sockets) {
-		want := m.Bottleneck(a)
-		got := m.BottleneckOn(a, 0, 0)
-		if got != want {
-			t.Errorf("BottleneckOn(%v, 0, 0) = %v, Bottleneck = %v", a, got, want)
-		}
-		if m.BottleneckOn(a, m.Sockets, m.Sockets*m.CoresPerSocket) != want {
-			t.Errorf("full-machine slice diverges from Bottleneck for %v", a)
-		}
-	}
-}
-
 // TestBottleneckOnSlices pins the slice semantics: a partial-core slice
 // can only raise the bottleneck, an executor on a disabled socket is
 // infeasible (+Inf), and the feasible slices convert to positive predicted

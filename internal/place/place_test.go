@@ -2,6 +2,7 @@ package place
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -89,7 +90,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 		if d == 7 {
 			c := Canonical(assign)
 			s := m.Bottleneck(c)
-			if s < bestScore || (s == bestScore && Less(c, bestAssign)) {
+			if s < bestScore || (s == bestScore && slices.Compare(c, bestAssign) < 0) {
 				bestScore = s
 				bestAssign = c
 			}
@@ -141,7 +142,7 @@ func TestSearchNeverWorseThanSeeds(t *testing.T) {
 	m := toyModel(10, 4)
 	seed := []int{0, 1, 2, 3, 0, 1, 2, 3, 0, 1}
 	seedScore := m.Bottleneck(Canonical(seed))
-	got := m.Search(SearchOptions{TopM: 3, NodeBudget: 1, Seeds: [][]int{seed}})
+	got := m.Search(SearchOptions{TopM: 3, Seeds: [][]int{seed}, budget: 1})
 	if len(got) == 0 {
 		t.Fatal("empty result")
 	}
@@ -165,8 +166,11 @@ func TestSearchNeverWorseThanSeeds(t *testing.T) {
 	}
 }
 
+// TestSearchScoresAreExact: every returned plan's score is its
+// Bottleneck, with the fixed per-message crossing cost priced too.
 func TestSearchScoresAreExact(t *testing.T) {
 	m := toyModel(9, 4)
+	m.CrossMsgCycles = 50
 	for _, c := range m.Search(SearchOptions{TopM: 5}) {
 		if got := m.Bottleneck(c.Assign); got != c.Score {
 			t.Fatalf("candidate score %v != Bottleneck %v for %v", c.Score, got, c.Assign)

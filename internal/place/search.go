@@ -1,6 +1,7 @@
 package place
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,16 @@ type Candidate struct {
 	Score float64
 }
 
+// The branch-and-bound's one budget: the assignment tree splits into
+// independent subtrees at executor depth splitDepth, and each subtree
+// expands at most nodeBudget nodes, so the search degrades gracefully on
+// wide graphs instead of exploding. Every search — placement, each joint
+// vector, the joint-smoke and joint-shift sweeps — runs at this budget.
+const (
+	nodeBudget = 4000
+	splitDepth = 2
+)
+
 // SearchOptions tunes the branch-and-bound search. The zero value picks
 // usable defaults.
 type SearchOptions struct {
@@ -24,18 +35,14 @@ type SearchOptions struct {
 	// identical for any worker count: subtrees are independent, each has
 	// its own node budget, and the merge is order-insensitive.
 	Workers int
-	// NodeBudget bounds nodes expanded per frontier subtree (default
-	// 60000); the search degrades gracefully on wide graphs instead of
-	// exploding.
-	NodeBudget int
-	// SplitDepth is the executor depth at which the assignment tree is
-	// split into independent frontier subtrees (default 3).
-	SplitDepth int
 	// Seeds are known-good assignments (e.g. the min-k-cut plans). Their
 	// exact scores initialize the pruning bound, and they always appear
 	// in the returned ranking, so the search can never do worse than the
 	// best seed.
 	Seeds [][]int
+
+	// budget overrides nodeBudget; only tests set it.
+	budget int
 }
 
 func (o *SearchOptions) fill() {
@@ -45,11 +52,8 @@ func (o *SearchOptions) fill() {
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
-	if o.NodeBudget <= 0 {
-		o.NodeBudget = 60000
-	}
-	if o.SplitDepth <= 0 {
-		o.SplitDepth = 3
+	if o.budget <= 0 {
+		o.budget = nodeBudget
 	}
 }
 
@@ -74,19 +78,6 @@ func Canonical(assign []int) []int {
 		out[i] = j
 	}
 	return out
-}
-
-// Less orders assignments lexicographically.
-func Less(a, b []int) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // assignKey serializes an assignment for dedup maps.
@@ -119,17 +110,10 @@ func (m *Model) Search(opts SearchOptions) []Candidate {
 	pool = append(pool, m.greedy())
 	initialBound := pruneBound(pool, opts.TopM)
 
-	// Branch order: heaviest executors first, so the compute bound bites
-	// early and symmetry breaking anchors on load-bearing decisions.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return m.Compute[order[a]] > m.Compute[order[b]] })
-
-	// Split the tree into independent subtrees at SplitDepth: every
-	// symmetry-broken prefix of the first SplitDepth executors.
-	frontier := m.prefixes(order, opts.SplitDepth)
+	order := m.branchOrder()
+	// Split the tree into independent subtrees at splitDepth: every
+	// symmetry-broken prefix of the first splitDepth executors.
+	frontier := m.prefixes(order, splitDepth)
 	results := make([][]Candidate, len(frontier))
 	// Concurrency audit: workers share only the atomic claim cursor;
 	// results are written at distinct claimed indices and read after
@@ -165,11 +149,7 @@ func (m *Model) Search(opts SearchOptions) []Candidate {
 // incumbent that tightens the initial pruning bound.
 func (m *Model) greedy() Candidate {
 	n := m.N()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return m.Compute[order[a]] > m.Compute[order[b]] })
+	order := m.branchOrder()
 	assign := make([]int, n)
 	for i := range assign {
 		assign[i] = -1
@@ -194,6 +174,18 @@ func (m *Model) greedy() Candidate {
 	}
 	c := Canonical(assign)
 	return Candidate{Assign: c, Score: m.Bottleneck(c)}
+}
+
+// branchOrder returns the executors heaviest first: the order both the
+// branch-and-bound and greedy assign in, so the compute bound bites early
+// and symmetry breaking anchors on load-bearing decisions.
+func (m *Model) branchOrder() []int {
+	order := make([]int, m.N())
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return m.Compute[order[a]] > m.Compute[order[b]] })
+	return order
 }
 
 // prefixes enumerates symmetry-broken partial assignments of the first
@@ -243,7 +235,7 @@ func (m *Model) searchSubtree(order, prefix []int, initialBound float64, opts Se
 	}
 	var local []Candidate
 	bound := initialBound
-	budget := opts.NodeBudget
+	budget := opts.budget
 
 	var dfs func(d int)
 	dfs = func(d int) {
@@ -297,7 +289,7 @@ func rank(pool []Candidate, topM int) []Candidate {
 		if pool[i].Score != pool[j].Score {
 			return pool[i].Score < pool[j].Score
 		}
-		return Less(pool[i].Assign, pool[j].Assign)
+		return slices.Compare(pool[i].Assign, pool[j].Assign) < 0
 	})
 	seen := make(map[string]bool, len(pool))
 	out := make([]Candidate, 0, topM)
@@ -383,8 +375,7 @@ func (st *searchState) place(v, s int, assign []int) {
 	for _, ei := range st.in[v] {
 		e := &m.Edges[ei]
 		if u := e.From; assign[u] >= 0 && assign[u] != s && u != v {
-			pen := m.RemotePenalty * e.Bytes
-			st.perExec[v] += pen
+			st.perExec[v] += m.crossing(*e)
 			st.qpi[assign[u]*m.Sockets+s] += e.Bytes
 		}
 	}
@@ -393,7 +384,7 @@ func (st *searchState) place(v, s int, assign []int) {
 	for _, ei := range st.out[v] {
 		e := &m.Edges[ei]
 		if u := e.To; assign[u] >= 0 && assign[u] != s && u != v {
-			pen := m.RemotePenalty * e.Bytes
+			pen := m.crossing(*e)
 			st.perExec[u] += pen
 			st.sockCompute[assign[u]] += pen
 			st.qpi[s*m.Sockets+assign[u]] += e.Bytes
@@ -422,7 +413,7 @@ func (st *searchState) unplace(assign []int) {
 	for _, ei := range st.out[v] {
 		e := &m.Edges[ei]
 		if u := e.To; assign[u] >= 0 && assign[u] != s && u != v {
-			pen := m.RemotePenalty * e.Bytes
+			pen := m.crossing(*e)
 			st.perExec[u] -= pen
 			st.sockCompute[assign[u]] -= pen
 			st.qpi[s*m.Sockets+assign[u]] -= e.Bytes
