@@ -64,11 +64,15 @@ go build -race -o "$BENCH_DIR/dspbench-race" ./cmd/dspbench
 (cd "$BENCH_DIR" && ./dspbench-race -native -app wc -system flink -batch 4 -events 2000 -rate 20000 >/dev/null)
 (cd "$BENCH_DIR" && ./dspbench -native -app wc -system storm -batch 4 -chain -json >/dev/null)
 test -s "$BENCH_DIR/BENCH_native_wc_storm.json" || { echo "ci: missing BENCH_native_wc_storm.json" >&2; exit 1; }
-# Performance stage (non-race: wall-clock assertions): the ring runtime
-# must stay >= 2x the preserved channel runtime on wc/storm/S=4, and the
-# executor-to-executor ring hop must stay allocation-free.
-DSP_PERF=1 go test -run TestNativePipelineSpeedup -count=1 ./internal/engine/
-go test -run 'TestRingTransferZeroAllocs|TestRingMsgTransferZeroAllocs' -count=1 ./internal/ring/ ./internal/engine/
+# Hot-path stage (non-race: the race detector's instrumentation allocates,
+# so the allocation gates skip under -race). The ring hop must stay
+# allocation-free, the native wc/storm/S=4 cell must stay under its
+# committed allocation ceiling, and every native transport and cost-hook
+# method must be //dsp:hotpath, so the dsplint run above checks it for
+# allocation and blocking synchronization. ci.sh asserts no wall-clock
+# figure: perfbench's native-open workload and its engine.native_kev_per_s
+# and engine.native_kev_per_s_1p layer metrics measure native throughput.
+go test -run 'TestRingTransferZeroAllocs|TestRingMsgTransferZeroAllocs|TestNativePipelineAllocCeiling|TestNativeDriverMethodsAreHotPath' -count=1 ./internal/ring/ ./internal/engine/
 # Ring stress stage: the high-iteration SPSC/MPSC protocol hammer under the
 # race detector (skipped without DSP_STRESS so plain `go test ./...` stays
 # fast). Sequence checks catch lost/reordered items; -race catches the

@@ -136,10 +136,8 @@ func main() {
 		} else {
 			topo, err := cell.Topology()
 			fail(err)
-			sys := engine.Storm()
-			if *system == "flink" {
-				sys = engine.Flink()
-			}
+			sys, err := bench.SystemProfile(*system)
+			fail(err)
 			plans, err := place.PlanFor(topo, sys, *sockets, place.PlaceOptions{
 				CoresPerSocket: 8, Oversubscribe: 1.5, Balanced: true,
 			})
@@ -327,12 +325,10 @@ func runNative(app, system string, batch, events, scale int, seed int64, chain, 
 	if rate > 0 && latEvery == 0 {
 		latEvery = 1 // open-loop tail runs observe every sink tuple
 	}
+	sys, err := bench.SystemProfile(system)
+	fail(err)
 	topo, err := apps.Build(app, apps.Config{Events: events, Seed: seed, Scale: scale})
 	fail(err)
-	sys := engine.Storm()
-	if system == "flink" {
-		sys = engine.Flink()
-	}
 	if noack {
 		sys.AckEnabled = false
 	}

@@ -3,13 +3,12 @@
 // solves the capacity-constrained min-k-cut for k = 1..sockets, and prints
 // each plan with its Equation 1 cross-socket communication cost.
 //
-// -strategy prints one planner's ranked plans instead: "min-k-cut" (the
-// default flow's balanced plans, ranked by cut cost), "bnb" (the pool the
+// -strategy prints one planner's ranked plans instead: "bnb" (the pool the
 // report's placement decision ranks: the min-k-cut seeds merged with the
-// probe-calibrated branch-and-bound's plans), or "joint" (the report's
-// joint parallelism + placement search, BriskStream's RLAS). bnb and
-// joint run one probe simulation to calibrate the cost model and simulate
-// nothing else; output is deterministic and independent of -jobs.
+// probe-calibrated branch-and-bound's plans) or "joint" (the report's
+// joint parallelism + placement search, BriskStream's RLAS). Both run one
+// probe simulation to calibrate the cost model and simulate nothing else;
+// output is deterministic and independent of -jobs.
 //
 // Usage:
 //
@@ -27,7 +26,6 @@ import (
 
 	"streamscale/internal/apps"
 	"streamscale/internal/bench"
-	"streamscale/internal/engine"
 	"streamscale/internal/place"
 )
 
@@ -35,26 +33,24 @@ func main() {
 	var (
 		app      = flag.String("app", "wc", "application: "+fmt.Sprint(apps.Names()))
 		system   = flag.String("system", "storm", "engine profile: storm | flink")
-		sockets  = flag.Int("sockets", 4, "socket count to plan for (min-k-cut modes)")
+		sockets  = flag.Int("sockets", 4, "socket count to plan for (min-k-cut listing)")
 		scale    = flag.Int("scale", 1, "parallelism scale factor")
 		verbose  = flag.Bool("verbose", false, "print per-executor assignments")
-		strategy = flag.String("strategy", "", "placement strategy: min-k-cut | bnb | joint (default: legacy min-k-cut listing)")
+		strategy = flag.String("strategy", "", "placement strategy: bnb | joint (default: the min-k-cut listing)")
 		batch    = flag.Int("batch", 1, "batch size the model plans for (model strategies)")
 		jobs     = flag.Int("jobs", 1, "parallel workers for model strategies (results are identical at any value)")
 	)
 	flag.Parse()
 
 	if *strategy != "" {
-		fail(runStrategy(*strategy, *app, *system, *sockets, *scale, *batch, *jobs))
+		fail(runStrategy(*strategy, *app, *system, *scale, *batch, *jobs))
 		return
 	}
 
+	sys, err := bench.SystemProfile(*system)
+	fail(err)
 	topo, err := apps.Build(*app, apps.Config{Events: 1000, Seed: 1, Scale: *scale})
 	fail(err)
-	sys := engine.Storm()
-	if *system == "flink" {
-		sys = engine.Flink()
-	}
 
 	g, err := place.BuildCommGraph(topo, sys)
 	fail(err)
@@ -75,8 +71,8 @@ func main() {
 		}
 		fmt.Printf("\n%s plans:\n", mode)
 		for _, p := range plans {
-			fmt.Printf("  k=%d  cost=%10.2f  (%.0f%% of total weight cut)\n",
-				p.K, p.Cost, 100*p.Cost/max(g.TotalWeight(), 1e-9))
+			fmt.Printf("  k=%d  cost=%10.2f  (%.0f%% of total weight cut)  assign=%s\n",
+				p.K, p.Cost, 100*p.Cost/max(g.TotalWeight(), 1e-9), assignString(p.Assign))
 			if *verbose {
 				counts := map[int][]string{}
 				for v, s := range p.Assign {
@@ -95,7 +91,7 @@ func main() {
 // runStrategy prints one planner's ranked plans. bnb and joint calibrate
 // from one probe simulation (the unplaced four-socket baseline, batch 1)
 // exactly like the report flow, and run the report's searches.
-func runStrategy(name, app, system string, sockets, scale, batch, jobs int) error {
+func runStrategy(name, app, system string, scale, batch, jobs int) error {
 	bench.SetJobs(jobs)
 	bench.SetProgress(false)
 
@@ -107,32 +103,6 @@ func runStrategy(name, app, system string, sockets, scale, batch, jobs int) erro
 	var plans []plan
 	var w *place.Workload
 	switch name {
-	case "min-k-cut":
-		topo, err := bench.Cell{App: app, Seed: 1, Scale: scale}.Topology()
-		if err != nil {
-			return err
-		}
-		sys := engine.Storm()
-		if system == "flink" {
-			sys = engine.Flink()
-		}
-		g, err := place.BuildCommGraph(topo, sys)
-		if err != nil {
-			return err
-		}
-		if sockets <= 0 {
-			sockets = 4
-		}
-		ps, err := place.Plans(g, sockets, place.PlaceOptions{Balanced: true})
-		if err != nil {
-			return err
-		}
-		// Plans are per-k; rank by cut cost, ties to fewer sockets (the
-		// enumeration is ascending in k, and the sort is stable).
-		sort.SliceStable(ps, func(i, j int) bool { return ps[i].Cost < ps[j].Cost })
-		for _, p := range ps {
-			plans = append(plans, plan{assign: p.Assign, score: p.Cost})
-		}
 	case "bnb":
 		pool, err := bench.PlacementPool(app, system, batch, scale)
 		if err != nil {
@@ -154,7 +124,7 @@ func runStrategy(name, app, system string, sockets, scale, batch, jobs int) erro
 			plans = append(plans, plan{assign: c.Assign, par: c.Par, score: c.Score})
 		}
 	default:
-		return fmt.Errorf("unknown strategy %q (have [min-k-cut bnb joint])", name)
+		return fmt.Errorf("unknown strategy %q (have [bnb joint])", name)
 	}
 
 	fmt.Printf("%s/%s strategy=%s scale=%d batch=%d: %d plan(s)\n",

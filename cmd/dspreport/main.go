@@ -344,18 +344,8 @@ func main() {
 		tier       = flag.Bool("tier", false, "tiered evaluation: screen widened sweeps with the calibrated fast tier, simulate only the interesting cells (adds fig6b/c and fig12 width, the tier-specs matrix, and a validation summary)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		nativeVal  = flag.Bool("native-validate", false, "run the native-runtime validation loop and exit (wall-clock on this host; NOT deterministic, so it is never part of the default experiment set)")
 	)
 	flag.Parse()
-	if *nativeVal {
-		v, err := bench.ValidateNative(bench.DefaultValidationCells(), 3)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dspreport:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("native validation (optimization effect ratios, sim vs this host, best of %d)\n%s", v.Reps, v.String())
-		return
-	}
 	bench.SetJobs(*jobs)
 	if *quiet {
 		bench.SetProgress(false)

@@ -757,7 +757,7 @@ func PlacementAblation(appNames []string) ([]PlacementAblationRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			sp, _ := systemProfile(sys)
+			sp, _ := SystemProfile(sys)
 			g, err := place.BuildCommGraph(topo, sp)
 			if err != nil {
 				return nil, err
@@ -885,29 +885,26 @@ func LoadLatency(app, system string, batch int) ([]LoadLatencyRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := systemProfile(system)
+	satRate := sat.Throughput().PerSecond()
+	loads := []float64{0.2, 0.5, 0.8}
+	cells := make([]Cell, len(loads))
+	for i, load := range loads {
+		cells[i] = Cell{
+			App: app, System: system, Sockets: 1, BatchSize: batch,
+			SourceRate:         satRate * load, // per source executor; apps use one
+			LatencySampleEvery: 1,
+		}
+	}
+	results, err := runCells(cells)
 	if err != nil {
 		return nil, err
 	}
-	satRate := sat.Throughput().PerSecond()
 	var out []LoadLatencyRow
-	for _, load := range []float64{0.2, 0.5, 0.8} {
-		topo, err := Cell{App: app, System: system}.Topology()
-		if err != nil {
-			return nil, err
-		}
-		res, err := engine.RunSim(topo, engine.SimConfig{
-			System: sys, Sockets: 1, Seed: 1, BatchSize: batch,
-			SourceRate:         satRate * load, // per source executor; apps use one
-			LatencySampleEvery: 1,
-		})
-		if err != nil {
-			return nil, err
-		}
+	for i, r := range results {
 		out = append(out, LoadLatencyRow{
-			Load: load,
-			P50:  res.Latency.Quantile(0.5),
-			P99:  res.Latency.Quantile(0.99),
+			Load: loads[i],
+			P50:  r.Res.Latency.Quantile(0.5),
+			P99:  r.Res.Latency.Quantile(0.99),
 		})
 	}
 	out = append(out, LoadLatencyRow{
@@ -1003,36 +1000,18 @@ func Sustainable(app, system string, boundMs float64) (*SustainableResult, error
 	if err != nil {
 		return nil, err
 	}
-	sys, err := systemProfile(system)
-	if err != nil {
-		return nil, err
-	}
 	peak := sat.Throughput().PerSecond()
-
-	meets := func(load float64) (bool, error) {
-		topo, err := Cell{App: app, System: system}.Topology()
-		if err != nil {
-			return false, err
-		}
-		res, err := engine.RunSim(topo, engine.SimConfig{
-			System: sys, Sockets: 1, Seed: 1,
-			SourceRate:         peak * load,
-			LatencySampleEvery: 2,
-		})
-		if err != nil {
-			return false, err
-		}
-		return res.Latency.Quantile(0.99) <= boundMs, nil
-	}
-
 	lo, hi := 0.0, 1.0
 	for i := 0; i < 6; i++ {
 		mid := (lo + hi) / 2
-		ok, err := meets(mid)
+		res, err := Run(Cell{
+			App: app, System: system, Sockets: 1,
+			SourceRate: peak * mid, LatencySampleEvery: 2,
+		})
 		if err != nil {
 			return nil, err
 		}
-		if ok {
+		if res.Latency.Quantile(0.99) <= boundMs {
 			lo = mid
 		} else {
 			hi = mid

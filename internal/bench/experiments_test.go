@@ -366,6 +366,23 @@ func TestLoadLatencyCurve(t *testing.T) {
 	if s := LoadLatencyTable("wc", "flink", rows); !strings.Contains(s, "saturated") {
 		t.Error("table malformed")
 	}
+	// The saturated cell and the three loads are memoized cells.
+	assertMemoized(t, 4, func() error { _, err := LoadLatency("wc", "flink", 1); return err })
+}
+
+// assertMemoized calls f, which repeats a call the test already made, and
+// checks that it simulated nothing and served each of its cells from the
+// memo once.
+func assertMemoized(t *testing.T, cells int64, f func() error) {
+	t.Helper()
+	before := MemoStats()
+	if err := f(); err != nil {
+		t.Fatal(err)
+	}
+	after := MemoStats()
+	if runs, hits := after.Runs-before.Runs, after.MemHits-before.MemHits; runs != 0 || hits != cells {
+		t.Errorf("repeat call simulated %d cell(s) and hit the memo %d time(s), want 0 and %d", runs, hits, cells)
+	}
 }
 
 // Chaining ablation: SD's moving-average -> spike-detection hop is
@@ -418,4 +435,6 @@ func TestSustainableThroughput(t *testing.T) {
 	if s := SustainableTable([]*SustainableResult{r}); !strings.Contains(s, "sustainable") {
 		t.Error("table malformed")
 	}
+	// The saturated cell and the six bisection steps are memoized cells.
+	assertMemoized(t, 7, func() error { _, err := Sustainable("wc", "flink", 5.0); return err })
 }

@@ -98,7 +98,9 @@ func (c Cell) MachineSpec() (hw.MachineSpec, error) {
 	return spec, nil
 }
 
-func systemProfile(name string) (engine.SystemProfile, error) {
+// SystemProfile returns the engine profile a cell's System names: "storm"
+// or "flink". Any other name is an error.
+func SystemProfile(name string) (engine.SystemProfile, error) {
 	switch name {
 	case "storm":
 		return engine.Storm(), nil
@@ -175,7 +177,7 @@ func RunTraced(c Cell, tr *trace.Tracer) (*engine.Result, error) {
 }
 
 func runCell(c Cell, tr *trace.Tracer) (*engine.Result, error) {
-	sys, err := systemProfile(c.System)
+	sys, err := SystemProfile(c.System)
 	if err != nil {
 		return nil, err
 	}

@@ -102,7 +102,7 @@ func ValidateNative(cells []Cell, reps int) (*NativeValidation, error) {
 	}
 	v := &NativeValidation{Reps: reps}
 	for _, c := range cells {
-		sys, err := systemProfile(c.System)
+		sys, err := SystemProfile(c.System)
 		if err != nil {
 			return nil, err
 		}

@@ -117,7 +117,7 @@ func rankPlacement(model *place.Model, app, system string, batch, scale int) ([]
 	if err != nil {
 		return nil, err
 	}
-	sys, err := systemProfile(system)
+	sys, err := SystemProfile(system)
 	if err != nil {
 		return nil, err
 	}

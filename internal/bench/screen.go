@@ -193,7 +193,7 @@ func Calibrate(app, system string, batch, scale int) (*place.Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := systemProfile(system)
+	sys, err := SystemProfile(system)
 	if err != nil {
 		return nil, err
 	}

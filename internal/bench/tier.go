@@ -78,7 +78,7 @@ type TierRun struct {
 // estimatorFor builds the fast-tier estimator from a probe cell and its
 // simulated result.
 func estimatorFor(probe Cell, res *engine.Result) (*eval.Estimator, error) {
-	sys, err := systemProfile(probe.System)
+	sys, err := SystemProfile(probe.System)
 	if err != nil {
 		return nil, err
 	}

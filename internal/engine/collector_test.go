@@ -16,14 +16,20 @@ func mkTuples(keys ...string) []Tuple {
 
 var wordStream = Stream(DefaultStream, "word", "n")
 
+// sentBatch is one batch a recorder saw, with its consumer executor.
+type sentBatch struct {
+	Consumer int
+	Tuples   []Tuple
+}
+
 // recorder is a transport that keeps every message sent to it.
-type recorder struct{ batches []AddressedBatch }
+type recorder struct{ batches []sentBatch }
 
 func (r *recorder) now() int64       { return 0 }
 func (r *recorder) stamp() int64     { return 0 }
 func (r *recorder) slab(int) []Tuple { return nil }
 func (r *recorder) send(to int, m Msg) {
-	r.batches = append(r.batches, AddressedBatch{Consumer: to, Tuples: m.Batch})
+	r.batches = append(r.batches, sentBatch{Consumer: to, Tuples: m.Batch})
 }
 
 // testRouter is a producer executor with one out edge to consumer
@@ -48,7 +54,7 @@ func newTestRouter(g Grouping, consumers, batchCap int) *testRouter {
 
 // route runs one invocation's tuples through the edge and returns the
 // batches sent, in send order.
-func (r *testRouter) route(tuples []Tuple) []AddressedBatch {
+func (r *testRouter) route(tuples []Tuple) []sentBatch {
 	r.rec.batches = nil
 	r.ex.route(r.ed, tuples)
 	return r.rec.batches

@@ -1,9 +1,14 @@
 package engine
 
 import (
-	"os"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"reflect"
 	"testing"
 
+	"streamscale/internal/analysis"
 	"streamscale/internal/ring"
 )
 
@@ -40,20 +45,20 @@ func BenchmarkNativeRingTransfer(b *testing.B) {
 	<-done
 }
 
-// benchPipeline runs the word-count topology (wc shape: source → split →
-// count → sink) once on the given runner and reports events/sec.
-func benchPipeline(b *testing.B, run func(*Topology, NativeConfig) (*Result, error), sentences int) float64 {
-	topo := wcTopology(sentences, func() Operator {
+// runGateCell runs the native gate cell once: wc (source → split → count →
+// sink), Storm profile (acking on), batch S=4, 4,000 source events.
+func runGateCell(tb testing.TB) *Result {
+	topo := wcTopology(2000, func() Operator {
 		return ProcessFunc(func(Context, Tuple) {})
 	})
-	res, err := run(topo, NativeConfig{System: Storm(), BatchSize: 4, Seed: 7})
+	res, err := RunNative(topo, NativeConfig{System: Storm(), BatchSize: 4, Seed: 7})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if res.SinkEvents == 0 {
-		b.Fatal("pipeline delivered nothing")
+		tb.Fatal("pipeline delivered nothing")
 	}
-	return float64(res.SourceEvents) / res.ElapsedSeconds
+	return res
 }
 
 // BenchmarkNativePipeline: the acceptance-criteria cell — wc, Storm
@@ -61,51 +66,83 @@ func benchPipeline(b *testing.B, run func(*Topology, NativeConfig) (*Result, err
 func BenchmarkNativePipeline(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eps := benchPipeline(b, RunNative, 2000)
-		b.ReportMetric(eps, "events/s")
+		res := runGateCell(b)
+		b.ReportMetric(float64(res.SourceEvents)/res.ElapsedSeconds, "events/s")
 	}
 }
 
-// BenchmarkNativePipelineChannels is the same cell on the preserved
-// channel-based runtime (runtime_native_chanref_test.go).
-func BenchmarkNativePipelineChannels(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eps := benchPipeline(b, runNativeChannels, 2000)
-		b.ReportMetric(eps, "events/s")
-	}
-}
+// nativeAllocCeiling bounds the heap allocations of one run of the gate
+// cell. The operators' emissions (variadic Values slices and their boxed
+// fields) make nearly all of them; the transport adds only the slabs a
+// lagging consumer has not yet recycled. Go 1.24 on a 2-core x86-64 VM
+// measured 92,007–92,010 over -count 10 -cpu 1,2 (AllocsPerRun runs at
+// GOMAXPROCS 1 whatever -cpu says); the ceiling is 1.9% above the largest.
+const nativeAllocCeiling = 93800
 
-// TestNativePipelineSpeedup asserts the acceptance bar — ≥2x tuples/sec
-// over the channel runtime on wc/storm/S=4. Wall-clock performance
-// assertions are inherently host-sensitive, so the test only runs when
-// DSP_PERF=1 (ci.sh runs it in a dedicated non-race stage).
-func TestNativePipelineSpeedup(t *testing.T) {
-	if os.Getenv("DSP_PERF") != "1" {
-		t.Skip("set DSP_PERF=1 to run wall-clock performance assertions")
+// TestNativePipelineAllocCeiling gates the native per-tuple and
+// per-message path on a count that repeats, not on a clock. The cell
+// processes 56,800 tuples in 27,000 operator invocations, one per data
+// message handled, so one allocation per tuple adds 56,800 (+62%) and one
+// per message 27,000 (+29%); either crosses the ceiling. A count a whole
+// message-count below the ceiling fails too: a per-message allocation
+// would then fit under it, so the constant must come down.
+func TestNativePipelineAllocCeiling(t *testing.T) {
+	if ring.RaceEnabled {
+		t.Skip("race instrumentation allocates")
 	}
-	best := func(run func(*Topology, NativeConfig) (*Result, error)) float64 {
-		var m float64
-		for rep := 0; rep < 5; rep++ {
-			topo := wcTopology(3000, func() Operator {
-				return ProcessFunc(func(Context, Tuple) {})
-			})
-			res, err := run(topo, NativeConfig{System: Storm(), BatchSize: 4, Seed: 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if eps := float64(res.SourceEvents) / res.ElapsedSeconds; eps > m {
-				m = eps
-			}
+	var res *Result
+	allocs := testing.AllocsPerRun(5, func() { res = runGateCell(t) })
+	var tuples, msgs int64
+	for _, e := range res.Executors {
+		tuples += e.Tuples
+		if e.Tuples > 0 {
+			msgs += e.Invocations
 		}
-		return m
 	}
-	rings := best(RunNative)
-	chans := best(runNativeChannels)
-	ratio := rings / chans
-	t.Logf("ring runtime %.0f events/s, channel runtime %.0f events/s, ratio %.2fx", rings, chans, ratio)
-	if ratio < 2 {
-		t.Fatalf("ring runtime only %.2fx the channel runtime, want >= 2x", ratio)
+	t.Logf("%.0f allocations per run; %d tuples in %d operator invocations", allocs, tuples, msgs)
+	if allocs > nativeAllocCeiling {
+		t.Fatalf("gate cell allocates %.0f per run, above the ceiling %d: the per-tuple or per-message path allocates", allocs, nativeAllocCeiling)
+	}
+	if nativeAllocCeiling-allocs >= float64(msgs) {
+		t.Fatalf("gate cell allocates %.0f per run, %d or more below the ceiling %d, so a per-message allocation would pass: lower nativeAllocCeiling", allocs, msgs, nativeAllocCeiling)
+	}
+}
+
+// TestNativeDriverMethodsAreHotPath: every method of runtime_native.go
+// named after a transport or costHook method implements one of them and
+// runs per message or per tuple, so it must be //dsp:hotpath for dsplint's
+// hotalloc and hotsync to check it. The names come from the interfaces, so
+// a later native cost hook in that file is covered without editing this
+// test.
+func TestNativeDriverMethodsAreHotPath(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "runtime_native.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, iface := range []reflect.Type{reflect.TypeFor[transport](), reflect.TypeFor[costHook]()} {
+		for i := 0; i < iface.NumMethod(); i++ {
+			seen[iface.Method(i).Name] = false
+		}
+	}
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Recv == nil {
+			continue
+		}
+		if _, ok := seen[fn.Name.Name]; !ok {
+			continue
+		}
+		seen[fn.Name.Name] = true
+		if !analysis.FuncHasDirective(fn, "//dsp:hotpath") {
+			t.Errorf("(%s).%s runs per message or per tuple but is not //dsp:hotpath",
+				types.ExprString(fn.Recv.List[0].Type), fn.Name.Name)
+		}
+	}
+	for name, ok := range seen {
+		if !ok {
+			t.Errorf("runtime_native.go declares no %s method; the native driver implements transport and costHook there", name)
+		}
 	}
 }
 

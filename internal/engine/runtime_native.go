@@ -160,7 +160,7 @@ func (d *nativeDriver) link(ce *nativeDriver, capMsgs int) *nativeConn {
 		data: ce.in.AddProducer(capMsgs),
 		free: ring.NewSPSC[[]Tuple](capMsgs, nil),
 	}
-	for c.free.TryPush(make([]Tuple, 0, d.slabCap)) {
+	for c.free.TryPush(d.newSlab()) {
 	}
 	ce.inConns = append(ce.inConns, c) // same order as the MPSC lanes
 	return c
@@ -216,6 +216,7 @@ func (d *nativeDriver) run(epoch int64) {
 // pace reads the clock at the start of a source invocation and, under
 // SourceRate, sleeps until the invocation's scheduled start.
 //
+//dsp:hotpath
 //dsplint:wallclock
 func (d *nativeDriver) pace() int64 {
 	now := d.now()
@@ -228,6 +229,7 @@ func (d *nativeDriver) pace() int64 {
 
 // now reads the wall clock in nanoseconds.
 //
+//dsp:hotpath
 //dsplint:wallclock
 func (d *nativeDriver) now() int64 {
 	d.born = time.Now().UnixNano()
@@ -236,29 +238,53 @@ func (d *nativeDriver) now() int64 {
 
 // stamp is the coarse Born clock: the last reading, taken once per source
 // invocation (per-tuple timestamps would themselves be a measurable cost).
+//
+//dsp:hotpath
 func (d *nativeDriver) stamp() int64 { return d.born }
 
 // slab reuses a recycled batch slab from the conn's free ring when one is
 // available, else allocates.
+//
+//dsp:hotpath
 func (d *nativeDriver) slab(to int) []Tuple {
 	if s, ok := d.out[to].free.TryPop(); ok {
 		return s
 	}
-	return make([]Tuple, 0, d.slabCap)
+	return d.newSlab()
 }
+
+// newSlab allocates a batch slab. It is the cold half of slab (hotalloc
+// admits no make in a //dsp:hotpath body): link fills the arena with it,
+// and slab falls back to it only when the free ring is empty.
+func (d *nativeDriver) newSlab() []Tuple { return make([]Tuple, 0, d.slabCap) }
 
 // freeWork is the native cost hook: the work is real, so nothing is
 // charged.
 type freeWork struct{ ex *executor }
 
-func (f freeWork) process(t *Tuple)  { f.ex.processTuple(t) }
-func (freeWork) invoke(Msg)          {}
-func (freeWork) emit(*Tuple, bool)   {}
+//dsp:hotpath
+func (f freeWork) process(t *Tuple) { f.ex.processTuple(t) }
+
+//dsp:hotpath
+func (freeWork) invoke(Msg) {}
+
+//dsp:hotpath
+func (freeWork) emit(*Tuple, bool) {}
+
+//dsp:hotpath
 func (freeWork) barrier(int64, bool) {}
-func (freeWork) work(int, int)       {}
-func (freeWork) accessState(int)     {}
-func (freeWork) scanState(int)       {}
-func (freeWork) scanScratch(int)     {}
+
+//dsp:hotpath
+func (freeWork) work(int, int) {}
+
+//dsp:hotpath
+func (freeWork) accessState(int) {}
+
+//dsp:hotpath
+func (freeWork) scanState(int) {}
+
+//dsp:hotpath
+func (freeWork) scanScratch(int) {}
 
 // send pushes one message, blocking (and eventually parking) when the
 // ring is full: this is where backpressure propagates upstream.
