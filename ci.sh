@@ -66,13 +66,14 @@ go build -race -o "$BENCH_DIR/dspbench-race" ./cmd/dspbench
 test -s "$BENCH_DIR/BENCH_native_wc_storm.json" || { echo "ci: missing BENCH_native_wc_storm.json" >&2; exit 1; }
 # Hot-path stage (non-race: the race detector's instrumentation allocates,
 # so the allocation gates skip under -race). The ring hop must stay
-# allocation-free, the native wc/storm/S=4 cell must stay under its
-# committed allocation ceiling, and every native transport and cost-hook
-# method must be //dsp:hotpath, so the dsplint run above checks it for
-# allocation and blocking synchronization. ci.sh asserts no wall-clock
-# figure: perfbench's native-open workload and its engine.native_kev_per_s
-# and engine.native_kev_per_s_1p layer metrics measure native throughput.
-go test -run 'TestRingTransferZeroAllocs|TestRingMsgTransferZeroAllocs|TestNativePipelineAllocCeiling|TestNativeDriverMethodsAreHotPath' -count=1 ./internal/ring/ ./internal/engine/
+# allocation-free, the native wc/storm/S=4 cell and a simulated sim-cells
+# cell on a reused machine must stay under their committed allocation
+# ceilings, and every transport and cost-hook method of both drivers, and
+# the Context cost methods, must be //dsp:hotpath, so the dsplint run above
+# checks them for allocation and blocking synchronization. ci.sh asserts
+# no wall-clock figure: perfbench's workloads and layer metrics measure
+# throughput.
+go test -run 'TestRingTransferZeroAllocs|TestRingMsgTransferZeroAllocs|TestNativePipelineAllocCeiling|TestDriverMethodsAreHotPath|TestSimCellAllocCeiling' -count=1 ./internal/ring/ ./internal/engine/ ./internal/bench/
 # Ring stress stage: the high-iteration SPSC/MPSC protocol hammer under the
 # race detector (skipped without DSP_STRESS so plain `go test ./...` stays
 # fast). Sequence checks catch lost/reordered items; -race catches the

@@ -20,6 +20,7 @@ import (
 	"streamscale/internal/bench"
 
 	"streamscale/internal/engine"
+	"streamscale/internal/hw"
 	"streamscale/internal/place"
 	"streamscale/internal/sim"
 	"streamscale/internal/trace"
@@ -245,6 +246,11 @@ type benchRecord struct {
 	WallSeconds   float64 `json:"wall_seconds"` // host compute time; not deterministic
 	ChargedCycles int64   `json:"charged_cycles"`
 
+	// KernelEvents and Ops count the simulator's work in the run: events
+	// the kernel fired, and the machine model's walks and cache probes.
+	KernelEvents int64  `json:"kernel_events"`
+	Ops          hw.Ops `json:"ops"`
+
 	// Memo snapshots the process-wide memo counters at write time: for a
 	// single-cell dspbench run it says whether the result was simulated
 	// fresh (simulated=1) or served from cache; under -place or -joint the
@@ -297,6 +303,8 @@ func writeBenchJSON(cell bench.Cell, res *engine.Result, joint benchJointStats) 
 		ElapsedSimS:   res.ElapsedSeconds,
 		WallSeconds:   res.WallSeconds,
 		ChargedCycles: int64(res.ChargedCycles),
+		KernelEvents:  res.Events,
+		Ops:           res.Ops,
 		Memo:          benchMemoStats{Simulated: st.Runs, Deduped: st.MemHits, FromDisk: st.DiskHits},
 		Joint:         joint,
 	}

@@ -9,9 +9,13 @@ import (
 
 // assertIdentical fails unless two results of the same cell are
 // bit-identical in everything deterministic: profiler totals and per-bucket
-// costs, throughput inputs, sink counts, GC activity, and latency quantiles.
+// costs, throughput inputs, sink counts, GC activity, latency quantiles, and
+// the kernel's event and the machine's operation counts.
 func assertIdentical(t *testing.T, label string, a, b *engine.Result) {
 	t.Helper()
+	if a.Events != b.Events || a.Ops != b.Ops {
+		t.Errorf("%s: operation counts differ: %d events, %+v\nvs\n%d events, %+v", label, a.Events, a.Ops, b.Events, b.Ops)
+	}
 	if a.Profile.Costs != b.Profile.Costs {
 		t.Errorf("%s: profiler cost vectors differ:\n%v\nvs\n%v", label, a.Profile.Costs, b.Profile.Costs)
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // The experiment cells of a sweep are independent, deterministic
-// simulations: each Run builds its own kernel, machine, heap, and RNG from
-// the cell's seed and shares no mutable state with any other run. RunCells
+// simulations: each Run builds its own kernel, heap, and RNG from the
+// cell's seed, takes a machine in its just-built state from hw's free list,
+// and shares no mutable state with any other run. RunCells
 // exploits that by fanning cells across host cores; because seeding is
 // per-cell and results are written back by input index, the output is
 // bit-identical to a sequential loop regardless of worker count or

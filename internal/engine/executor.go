@@ -651,13 +651,24 @@ func (e *executor) EmitTo(stream string, values ...Value) {
 	e.cost.emit(&e.buffers[si][len(e.buffers[si])-1], false)
 }
 
-// The rest of Context; its cost methods go to the cost hook.
+// The rest of Context.
 func (e *executor) ExecutorID() int         { return e.index }
 func (e *executor) Parallelism() int        { return e.node.Parallelism }
 func (e *executor) OperatorName() string    { return e.node.Name }
 func (e *executor) Rand() *rand.Rand        { return e.rng }
 func (e *executor) Input() (string, string) { return e.inOp, e.inStream }
+
+// Work, AccessState, ScanState and ScanScratch report an operator's costs
+// to the cost hook, per tuple on both runtimes.
+//
+//dsp:hotpath
 func (e *executor) Work(uops, branches int) { e.cost.work(uops, branches) }
-func (e *executor) AccessState(bytes int)   { e.cost.accessState(bytes) }
-func (e *executor) ScanState(bytes int)     { e.cost.scanState(bytes) }
-func (e *executor) ScanScratch(bytes int)   { e.cost.scanScratch(bytes) }
+
+//dsp:hotpath
+func (e *executor) AccessState(bytes int) { e.cost.accessState(bytes) }
+
+//dsp:hotpath
+func (e *executor) ScanState(bytes int) { e.cost.scanState(bytes) }
+
+//dsp:hotpath
+func (e *executor) ScanScratch(bytes int) { e.cost.scanScratch(bytes) }

@@ -108,40 +108,55 @@ func TestNativePipelineAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestNativeDriverMethodsAreHotPath: every method of runtime_native.go
-// named after a transport or costHook method implements one of them and
-// runs per message or per tuple, so it must be //dsp:hotpath for dsplint's
-// hotalloc and hotsync to check it. The names come from the interfaces, so
-// a later native cost hook in that file is covered without editing this
-// test.
-func TestNativeDriverMethodsAreHotPath(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "runtime_native.go", nil, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
+// TestDriverMethodsAreHotPath: every method of a driver's file named after
+// a transport or costHook method implements one of them and runs per
+// message or per tuple, on the native and the simulated runtime alike, and
+// so do the Context methods operators report their costs through. Each
+// must be //dsp:hotpath for dsplint's hotalloc and hotsync to check it.
+// The driver method names come from the interfaces, so a later cost hook in
+// either file is covered without editing this test.
+func TestDriverMethodsAreHotPath(t *testing.T) {
+	var driver []string
 	for _, iface := range []reflect.Type{reflect.TypeFor[transport](), reflect.TypeFor[costHook]()} {
 		for i := 0; i < iface.NumMethod(); i++ {
-			seen[iface.Method(i).Name] = false
+			driver = append(driver, iface.Method(i).Name)
 		}
 	}
-	for _, decl := range f.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Recv == nil {
-			continue
+	for _, c := range []struct {
+		file  string
+		names []string
+	}{
+		{"runtime_native.go", driver},
+		{"runtime_sim.go", driver},
+		{"executor.go", []string{"Work", "AccessState", "ScanState", "ScanScratch"}},
+	} {
+		file, names := c.file, c.names
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, ok := seen[fn.Name.Name]; !ok {
-			continue
+		seen := map[string]bool{}
+		for _, name := range names {
+			seen[name] = false
 		}
-		seen[fn.Name.Name] = true
-		if !analysis.FuncHasDirective(fn, "//dsp:hotpath") {
-			t.Errorf("(%s).%s runs per message or per tuple but is not //dsp:hotpath",
-				types.ExprString(fn.Recv.List[0].Type), fn.Name.Name)
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil {
+				continue
+			}
+			if _, ok := seen[fn.Name.Name]; !ok {
+				continue
+			}
+			seen[fn.Name.Name] = true
+			if !analysis.FuncHasDirective(fn, "//dsp:hotpath") {
+				t.Errorf("%s: (%s).%s runs per message or per tuple but is not //dsp:hotpath",
+					file, types.ExprString(fn.Recv.List[0].Type), fn.Name.Name)
+			}
 		}
-	}
-	for name, ok := range seen {
-		if !ok {
-			t.Errorf("runtime_native.go declares no %s method; the native driver implements transport and costHook there", name)
+		for name, ok := range seen {
+			if !ok {
+				t.Errorf("%s declares no %s method", file, name)
+			}
 		}
 	}
 }

@@ -76,6 +76,11 @@ type Result struct {
 	// only). It must equal Profile.Costs.Total(); package profiler's
 	// conservation test enforces the invariant.
 	ChargedCycles sim.Cycles
+	// Events counts the discrete events the simulation kernel fired, and
+	// Ops the machine model's walks and cache probes (sim only). Both are
+	// pure observers of the run, for accounting where its host time goes.
+	Events int64
+	Ops    hw.Ops
 	// OperatorProfiles breaks the account down per operator (sim only).
 	OperatorProfiles map[string]*profiler.Profile
 	// CPUUtil is mean core utilization over enabled cores (sim only).

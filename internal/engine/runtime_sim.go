@@ -193,7 +193,8 @@ func RunSim(t *Topology, cfg SimConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &simRuntime{cfg: cfg, topo: xt}
+	rt := &simRuntime{cfg: cfg, topo: xt, machine: hw.AcquireMachine(cfg.Spec)}
+	defer hw.ReleaseMachine(rt.machine)
 	if err := rt.build(); err != nil {
 		return nil, err
 	}
@@ -218,7 +219,6 @@ func (rt *simRuntime) build() error {
 	rt.kernel = sim.NewKernel()
 	rt.sched = sim.NewScheduler(rt.kernel, cfg.Spec.TotalCores(), cfg.Spec.CoresPerSocket,
 		sim.DefaultSchedulerConfig())
-	rt.machine = hw.NewMachine(cfg.Spec)
 	rt.heap = jvm.NewHeap(cfg.Spec.Sockets, cfg.GC)
 	rt.meta = jvm.NewMetaspace(4096)
 	rt.profile = profiler.New()
@@ -327,7 +327,7 @@ func (rt *simRuntime) run(app string) (*Result, error) {
 	if rt.tr != nil {
 		rt.tr.Begin(app, rt.cfg.System.Name, rt.cfg.Spec.ClockHz)
 	}
-	rt.kernel.Run(rt.cfg.TimeLimit)
+	events := rt.kernel.Run(rt.cfg.TimeLimit)
 	if live := rt.sched.Live(); live > 0 {
 		return nil, fmt.Errorf("engine: simulation stalled with %d live executors at %d cycles (deadlock or time limit)",
 			live, rt.kernel.Now())
@@ -345,6 +345,8 @@ func (rt *simRuntime) run(app string) (*Result, error) {
 		MemUtil:        rt.machine.DRAMUtilization(rt.cfg.EnabledSockets(), elapsed),
 		QPIBytes:       rt.machine.QPIBytes(),
 		MinorGCs:       rt.heap.MinorGCs(),
+		Events:         int64(events),
+		Ops:            rt.machine.Ops(),
 	}
 	summarize(res, rt.execs)
 	res.OperatorProfiles = map[string]*profiler.Profile{}
@@ -437,11 +439,17 @@ func (d *simDriver) nowCycles() sim.Cycles { return d.stepAt + d.consumed }
 // The transport: time is the step's cycle count, batches start empty, and
 // sends are staged for flushPending to push once the invocation's work is
 // charged.
-func (d *simDriver) now() int64   { return int64(d.nowCycles()) }
+//
+//dsp:hotpath
+func (d *simDriver) now() int64 { return int64(d.nowCycles()) }
+
+//dsp:hotpath
 func (d *simDriver) stamp() int64 { return int64(d.nowCycles()) }
 
+//dsp:hotpath
 func (d *simDriver) slab(int) []Tuple { return nil }
 
+//dsp:hotpath
 func (d *simDriver) send(to int, m Msg) {
 	d.pending = append(d.pending, delivery{to: to, msg: m})
 }
@@ -558,6 +566,7 @@ func (d *simDriver) fetchRegion(r *codeRegion) {
 	d.consumed += d.rt.machine.FetchCode(d.curCore, r.base, bytes, d.nowCycles(), &d.costs)
 }
 
+//dsp:hotpath
 func (d *simDriver) work(uops, branches int) {
 	mis := 0
 	if rate := d.rt.cfg.System.MispredictRate; branches > 0 && rate > 0 {
@@ -572,6 +581,8 @@ func (d *simDriver) work(uops, branches int) {
 
 // invoke charges one invocation's dispatch. A traced input batch also
 // records its queue waits and the dispatch span.
+//
+//dsp:hotpath
 func (d *simDriver) invoke(m Msg) {
 	tr := d.rt.tr
 	sampled := false
@@ -623,6 +634,8 @@ func (d *simDriver) dispatch() {
 
 // process charges t's per-tuple overhead, then processes it; a traced
 // tuple gets an execute span around both.
+//
+//dsp:hotpath
 func (d *simDriver) process(t *Tuple) {
 	if tr := d.rt.tr; tr != nil && tr.Sampled(t.Root) {
 		start, pre := d.nowCycles(), d.costs
@@ -670,6 +683,8 @@ func (d *simDriver) chargeTuple(t *Tuple) {
 
 // emit writes an output tuple to the producer's local memory (Fig 3 step
 // 1) and charges its emission.
+//
+//dsp:hotpath
 func (d *simDriver) emit(t *Tuple, ack bool) {
 	if tr := d.rt.tr; tr != nil && !ack && d.ex.src != nil {
 		tr.SpoutEmit(t.Root)
@@ -686,6 +701,8 @@ func (d *simDriver) emit(t *Tuple, ack bool) {
 
 // barrier charges an aligned barrier's state snapshot and traces the
 // barrier.
+//
+//dsp:hotpath
 func (d *simDriver) barrier(id int64, aligned bool) {
 	if aligned {
 		p := &d.ex.node.Profile
@@ -700,6 +717,7 @@ func (d *simDriver) barrier(id int64, aligned bool) {
 	}
 }
 
+//dsp:hotpath
 func (d *simDriver) accessState(bytes int) {
 	p := &d.ex.node.Profile
 	if p.StateBytes <= 0 || bytes <= 0 {
@@ -711,6 +729,7 @@ func (d *simDriver) accessState(bytes int) {
 	}
 }
 
+//dsp:hotpath
 func (d *simDriver) scanState(bytes int) {
 	max := d.ex.node.Profile.StateBytes
 	if max <= 0 || bytes <= 0 {
@@ -722,6 +741,7 @@ func (d *simDriver) scanState(bytes int) {
 	d.consumed += d.rt.machine.StreamAccess(d.curCore, d.stateBase, bytes, d.nowCycles(), &d.costs)
 }
 
+//dsp:hotpath
 func (d *simDriver) scanScratch(bytes int) {
 	if bytes <= 0 {
 		return

@@ -80,17 +80,20 @@ func nopWC(sentences int) *Topology {
 	return wcTopology(sentences, func() Operator { return ProcessFunc(func(Context, Tuple) {}) })
 }
 
-func TestSimGoldenDigests(t *testing.T) {
+// simGoldenCase is one pinned simulation and its digest.
+type simGoldenCase struct {
+	name string
+	topo func() *Topology
+	cfg  SimConfig
+	want string
+}
+
+func simGoldenCases() []simGoldenCase {
 	flinkFast := Flink()
 	flinkFast.CheckpointInterval = 3_000_000
 	flinkFaster := Flink()
 	flinkFaster.CheckpointInterval = 300_000
-	cases := []struct {
-		name string
-		topo func() *Topology
-		cfg  SimConfig
-		want string
-	}{
+	return []simGoldenCase{
 		{"flink-barriers", func() *Topology { return nopWC(120) },
 			SimConfig{System: flinkFast, Seed: 6}, "69488e7d1b37a108"},
 		{"flink-barriers-long", func() *Topology { return nopWC(800) },
@@ -111,14 +114,36 @@ func TestSimGoldenDigests(t *testing.T) {
 		{"flink-open-loop", func() *Topology { return nopWC(200) },
 			SimConfig{System: flinkFast, Seed: 5, Sockets: 1, SourceRate: 40_000, BatchSize: 2}, "f94248f5ba06a209"},
 	}
-	for _, c := range cases {
-		res, err := RunSim(c.topo(), c.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if got := resultDigest(res); got != c.want {
-			t.Errorf("%s: digest %s, want %s (%d src, %d sink, %d acked, %d cycles)",
-				c.name, got, c.want, res.SourceEvents, res.SinkEvents, res.AckerCompleted, res.ChargedCycles)
+}
+
+func (c simGoldenCase) check(t *testing.T) {
+	t.Helper()
+	res, err := RunSim(c.topo(), c.cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	if got := resultDigest(res); got != c.want {
+		t.Errorf("%s: digest %s, want %s (%d src, %d sink, %d acked, %d cycles)",
+			c.name, got, c.want, res.SourceEvents, res.SinkEvents, res.AckerCompleted, res.ChargedCycles)
+	}
+}
+
+// TestSimGoldenDigests pins each case's digest. Every case after the first
+// runs on a machine an earlier run released.
+func TestSimGoldenDigests(t *testing.T) {
+	for _, c := range simGoldenCases() {
+		c.check(t)
+	}
+}
+
+// TestSimGoldenDigestsReversed runs the golden cases in reverse order,
+// twice, so each case also runs on a machine reset after different cases
+// than in TestSimGoldenDigests: state a reset leaked would move a digest.
+func TestSimGoldenDigestsReversed(t *testing.T) {
+	cases := simGoldenCases()
+	for pass := 0; pass < 2; pass++ {
+		for i := len(cases) - 1; i >= 0; i-- {
+			cases[i].check(t)
 		}
 	}
 }

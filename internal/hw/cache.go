@@ -1,67 +1,71 @@
 package hw
 
 // Cache is a set-associative cache with LRU replacement. Keys are block
-// numbers (the caller chooses the granularity: 64 B lines for data, 256 B
+// numbers (the caller chooses the granularity: 64 B lines for data, 512 B
 // blocks for instructions, 4 KB pages for TLBs). The zero value is not
 // usable; construct with NewCache.
 //
 // The model is the simulator's hottest code: every simulated memory access
-// probes up to four levels. Each set keeps an MRU way hint — the way of
-// its most recent hit — plus a shadow copy of that way's tag in a
-// set-indexed array. A lookup probes the shadow tag first: a probe hit
-// (the common case for the looping code fetches the simulator issues)
-// touches only the hinted way, while a probe miss costs one set-indexed
-// compare and a predictable branch before the ordinary scan, so
-// hint-averse access patterns (round-robin probing where consecutive
-// lookups in a set never repeat a block) pay almost nothing for it. The
-// probe never decides a lookup by itself: hintBlock[s] always mirrors the
-// hinted way's tag, so a shadow-tag match is exactly a tag match, and
-// hit/miss/eviction decisions — and therefore simulation results — stay
-// bit-identical to the plain scan.
+// probes up to four levels. All ways live in one set-major array of
+// pointer-free structs, and a way's tag is its block plus one, so a zeroed
+// way is an invalid one: a new cache needs no initialization pass, the
+// garbage collector never scans it, and pages of a large cache that are
+// never probed are never touched.
+//
+// Each set keeps an MRU way hint — the way of its most recent hit — plus a
+// shadow copy of that way's tag in a set-indexed array. A lookup probes the
+// shadow tag first: a probe hit (the common case for the looping code
+// fetches the simulator issues) touches only the hinted way, while a probe
+// miss costs one set-indexed compare and a predictable branch before the
+// ordinary scan, so hint-averse access patterns (round-robin probing where
+// consecutive lookups in a set never repeat a block) pay almost nothing for
+// it. The probe never decides a lookup by itself: hints[s].tag always
+// mirrors the hinted way's tag, so a shadow-tag match is exactly a tag
+// match, and hit/miss/eviction decisions — and therefore simulation
+// results — stay bit-identical to the plain scan.
 type Cache struct {
-	sets    [][]way
+	ways    []way // set s holds ways[s*assoc : (s+1)*assoc]
 	setMask uint64
 	assoc   int
 
-	// hints holds one MRU hint per set: a shadow copy of the most
-	// recently hit way's tag plus a pointer to that way (tag noBlock when
-	// the hint is invalid). Invariant: hints[s].block != noBlock implies
-	// hints[s].w is a valid way of set s holding that block — every site
-	// that installs or invalidates a block restores it, so a shadow match
-	// never names a wrong way. One struct per set keeps the probe to a
-	// single bounds-checked load.
+	// hints holds one MRU hint per set: a shadow copy of the most recently
+	// hit way's tag plus that way's index in ways (tag 0 when the hint is
+	// invalid). Invariant: a nonzero hints[s].tag is the tag of way
+	// hints[s].way, which belongs to set s — every site that installs or
+	// invalidates a block restores it, so a shadow match never names a
+	// wrong way.
 	hints []setHint
+
+	// dirty lists the sets installed into since the last Reset, so Reset
+	// costs the sets a run filled rather than the cache's capacity. A
+	// clean set's first install always lands on its way 0 (the first way
+	// of least last-use tick), so that is the only place it is appended
+	// (a set whose way 0 was invalidated may be listed twice, which costs
+	// Reset one repeated clear).
+	dirty []uint32
 
 	blockBytes int // granularity CacheFor was sized with (0 if NewCache)
 
-	hits      uint64
-	misses    uint64
-	evictions uint64
-
-	// OnEvict, if non-nil, is called with each evicted block. The machine
-	// uses this to keep the decoded-µop cache coherent with L1I.
-	OnEvict func(block uint64)
+	hits   uint64
+	misses uint64
 
 	tick uint64 // logical LRU clock
 }
 
 type way struct {
-	block uint64 // tag, or noBlock when the way is invalid
-	used  uint64 // last-use tick; 0 = never used (victim scan prefers it)
-	ver   uint32 // coherence version the copy was filled at
+	// tag is block+1, or 0 when the way is invalid. Real keys never wrap:
+	// data and code blocks are addresses divided by the block size
+	// (< 2^49), pages < 2^36.
+	tag  uint64
+	used uint64 // last-use tick; 0 = never used (victim scan prefers it)
+	ver  uint32 // coherence version the copy was filled at
 }
 
 // setHint is a set's MRU hint: the shadow tag and the way it shadows.
 type setHint struct {
-	block uint64 // tag of the most recently hit way, or noBlock
-	w     *way   // the way holding block; nil only while block == noBlock
+	tag uint64 // tag of the most recently hit way, or 0
+	way uint32 // index in Cache.ways of the way holding tag
 }
-
-// noBlock marks an invalid way or shadow tag. Real keys never reach it:
-// data and code tags are addresses divided by the block size (< 2^49),
-// pages < 2^36 — so tagging invalid ways with noBlock lets every scan
-// match on the tag alone, with no separate validity compare per way.
-const noBlock = ^uint64(0)
 
 // NewCache builds a cache with the given number of sets and associativity.
 // Sets must be a power of two.
@@ -72,23 +76,12 @@ func NewCache(sets, assoc int) *Cache {
 	if assoc <= 0 {
 		panic("hw: cache associativity must be positive")
 	}
-	c := &Cache{
+	return &Cache{
+		ways:    make([]way, sets*assoc),
 		setMask: uint64(sets - 1),
 		assoc:   assoc,
 		hints:   make([]setHint, sets),
 	}
-	c.sets = make([][]way, sets)
-	for i := range c.sets {
-		ws := make([]way, assoc)
-		for j := range ws {
-			ws[j].block = noBlock
-		}
-		c.sets[i] = ws
-	}
-	for i := range c.hints {
-		c.hints[i].block = noBlock
-	}
-	return c
 }
 
 // CacheFor builds a cache sized capacityBytes with blockBytes blocks and the
@@ -132,7 +125,30 @@ func (c *Cache) EffectiveBytes() int {
 // and reports whether it hit. Equivalent to AccessV with version 0.
 //
 //dsp:hotpath
-func (c *Cache) Access(block uint64) bool { return c.AccessV(block, 0) }
+func (c *Cache) Access(block uint64) bool {
+	_, hit := c.access(block, 0)
+	return hit
+}
+
+// AccessWay is Access that also returns the index of the way now holding
+// the block, in [0, Sets()*Assoc()): a miss filled that way, evicting
+// whatever it held. The machine keys its decoded-µop cache on L1I ways.
+//
+//dsp:hotpath
+func (c *Cache) AccessWay(block uint64) (way int, hit bool) {
+	return c.access(block, 0)
+}
+
+// AccessV looks up a block requiring coherence version ver: a resident copy
+// filled at an older version is stale (another core wrote the line since)
+// and counts as a miss, refilled at ver. This is the model's lightweight
+// stand-in for MESI invalidations.
+//
+//dsp:hotpath
+func (c *Cache) AccessV(block uint64, ver uint32) bool {
+	_, hit := c.access(block, ver)
+	return hit
+}
 
 // WriteAccessV is AccessV for a store that just bumped the line's version
 // to ver: a copy at ver-1 belongs to this cache's core from its previous
@@ -141,10 +157,10 @@ func (c *Cache) Access(block uint64) bool { return c.AccessV(block, 0) }
 //
 //dsp:hotpath
 func (c *Cache) WriteAccessV(block uint64, ver uint32) bool {
+	tag := block + 1
 	si := block & c.setMask
-	h := &c.hints[si]
-	if h.block == block {
-		if w := h.w; w.ver == ver || w.ver == ver-1 {
+	if h := &c.hints[si]; h.tag == tag {
+		if w := &c.ways[h.way]; w.ver == ver || w.ver == ver-1 {
 			c.tick++
 			w.ver = ver
 			w.used = c.tick
@@ -152,10 +168,11 @@ func (c *Cache) WriteAccessV(block uint64, ver uint32) bool {
 			return true
 		}
 	}
-	set := c.sets[si]
+	base := int(si) * c.assoc
+	set := c.ways[base : base+c.assoc]
 	for i := range set {
 		w := &set[i]
-		if w.block == block && (w.ver == ver || w.ver == ver-1) {
+		if w.tag == tag && (w.ver == ver || w.ver == ver-1) {
 			c.tick++
 			w.ver = ver
 			w.used = c.tick
@@ -166,105 +183,61 @@ func (c *Cache) WriteAccessV(block uint64, ver uint32) bool {
 	return c.AccessV(block, ver)
 }
 
-// AccessV looks up a block requiring coherence version ver: a resident copy
-// filled at an older version is stale (another core wrote the line since)
-// and counts as a miss, refilled at ver. This is the model's lightweight
-// stand-in for MESI invalidations.
+// access is the lookup behind Access, AccessWay and AccessV. The victim of
+// a miss is the set's first way with the least last-use tick, so empty
+// ways (tick 0) fill in way order before anything is evicted.
 //
 //dsp:hotpath
-func (c *Cache) AccessV(block uint64, ver uint32) bool {
+func (c *Cache) access(block uint64, ver uint32) (wi int, hit bool) {
 	c.tick++
+	tag := block + 1
 	si := block & c.setMask
 	h := &c.hints[si]
-	if h.block == block {
-		if w := h.w; w.ver == ver {
+	if h.tag == tag {
+		if w := &c.ways[h.way]; w.ver == ver {
 			w.used = c.tick
 			c.hits++
-			return true
+			return int(h.way), true
 		}
 	}
-	set := c.sets[si]
-	var victim *way
+	base := int(si) * c.assoc
+	set := c.ways[base : base+c.assoc]
+	vi, vused := 0, ^uint64(0)
 	for i := range set {
 		w := &set[i]
-		if w.block == block {
+		if w.tag == tag {
 			if w.ver == ver {
 				w.used = c.tick
 				c.hits++
-				return true
+				return base + i, true
 			}
 			// Stale copy: refill in place at the current version.
 			c.misses++
 			w.ver = ver
 			w.used = c.tick
-			h.block = block
-			h.w = w
-			return false
+			h.tag = tag
+			h.way = uint32(base + i)
+			return base + i, false
 		}
-		if victim == nil || w.used < victim.used {
-			victim = w
-		}
-	}
-	c.misses++
-	if victim.used != 0 {
-		c.evictions++
-		if c.OnEvict != nil {
-			c.OnEvict(victim.block)
-		}
-	}
-	victim.block = block
-	victim.used = c.tick
-	victim.ver = ver
-	h.block = block
-	h.w = victim
-	return false
-}
-
-// Replace forcibly (re)installs a block as most recently used at version
-// ver, counting a miss — observably equivalent to Invalidate(block)
-// followed by AccessV(block, ver), in one set scan instead of two. The
-// machine uses it on an L1I miss, where the decoded-µop entry must be
-// dropped and immediately re-decoded. If the block was resident it is
-// refreshed in place; the pair could land it on a different empty way, but
-// way identity is unobservable (lookups are tag-keyed, LRU compares used
-// ticks, and a refill over an empty or self way never fires OnEvict).
-//
-//dsp:hotpath
-func (c *Cache) Replace(block uint64, ver uint32) {
-	c.tick++
-	si := block & c.setMask
-	set := c.sets[si]
-	var victim *way
-	for i := range set {
-		w := &set[i]
-		if w.block == block {
-			victim = w
-			break
-		}
-		if victim == nil || w.used < victim.used {
-			victim = w
+		if w.used < vused {
+			vi, vused = i, w.used
 		}
 	}
 	c.misses++
-	if victim.used != 0 && victim.block != block {
-		c.evictions++
-		if c.OnEvict != nil {
-			c.OnEvict(victim.block)
-		}
+	if vused == 0 && vi == 0 {
+		c.dirty = append(c.dirty, uint32(si))
 	}
-	victim.block = block
-	victim.used = c.tick
-	victim.ver = ver
-	h := &c.hints[si]
-	h.block = block
-	h.w = victim
+	set[vi] = way{tag: tag, used: c.tick, ver: ver}
+	h.tag = tag
+	h.way = uint32(base + vi)
+	return base + vi, false
 }
 
 // Contains reports whether a block is resident without touching LRU state.
 func (c *Cache) Contains(block uint64) bool {
-	set := c.sets[block&c.setMask]
-	for i := range set {
-		if set[i].block == block {
+	base := int(block&c.setMask) * c.assoc
+	for _, w := range c.ways[base : base+c.assoc] {
+		if w.tag == block+1 {
 			return true
 		}
 	}
@@ -277,30 +250,35 @@ func (c *Cache) Contains(block uint64) bool {
 // the scan until the next hit or install re-arms the hint.
 func (c *Cache) Invalidate(block uint64) {
 	si := block & c.setMask
-	if h := &c.hints[si]; h.block == block {
-		h.block = noBlock
+	if h := &c.hints[si]; h.tag == block+1 {
+		h.tag = 0
 	}
-	set := c.sets[si]
+	base := int(si) * c.assoc
+	set := c.ways[base : base+c.assoc]
 	for i := range set {
-		if set[i].block == block {
-			set[i].block = noBlock
-			set[i].used = 0
+		if set[i].tag == block+1 {
+			set[i] = way{}
 			return
 		}
 	}
 }
 
-// Reset clears contents and statistics.
+// Reset returns the cache to its just-built state: no contents, no
+// statistics. It clears only the sets installed into since the last Reset
+// (every set, if that is cheaper).
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = way{block: noBlock}
+	if len(c.dirty)*c.assoc >= len(c.ways) {
+		clear(c.ways)
+		clear(c.hints)
+	} else {
+		for _, s := range c.dirty {
+			base := int(s) * c.assoc
+			clear(c.ways[base : base+c.assoc])
+			c.hints[s] = setHint{}
 		}
 	}
-	for i := range c.hints {
-		c.hints[i] = setHint{block: noBlock}
-	}
-	c.hits, c.misses, c.evictions, c.tick = 0, 0, 0, 0
+	c.dirty = c.dirty[:0]
+	c.hits, c.misses, c.tick = 0, 0, 0
 }
 
 // Hits returns the number of hits observed.

@@ -57,17 +57,6 @@ func TestCacheSetIndexing(t *testing.T) {
 	}
 }
 
-func TestCacheOnEvictFires(t *testing.T) {
-	var evicted []uint64
-	c := NewCache(1, 1)
-	c.OnEvict = func(b uint64) { evicted = append(evicted, b) }
-	c.Access(7)
-	c.Access(9)
-	if len(evicted) != 1 || evicted[0] != 7 {
-		t.Fatalf("evicted = %v, want [7]", evicted)
-	}
-}
-
 func TestCacheInvalidate(t *testing.T) {
 	c := NewCache(2, 2)
 	c.Access(5)

@@ -13,8 +13,13 @@ type Channel struct {
 	rate   float64 // bytes per cycle
 	window sim.Cycles
 
-	base int64     // window index of ring[0]
-	ring []float64 // bytes consumed per window
+	// ring holds the bytes consumed per window for windows [base,
+	// base+len(ring)), window i in ring[i&(len(ring)-1)]; every other slot
+	// is zero. Its length is a power of two (or zero before the first
+	// transfer), grown by doubling up to the span retainWindows and
+	// maxSpillWindows allow, and kept across Reset.
+	base int64
+	ring []float64
 
 	bytes uint64
 }
@@ -57,6 +62,8 @@ func NewChannelWindow(bytesPerCycle float64, window sim.Cycles) *Channel {
 // Transfer books a transfer of the given size at time now and returns the
 // queueing delay the requester observes (fixed access latency is charged by
 // the caller).
+//
+//dsp:hotpath
 func (ch *Channel) Transfer(now sim.Cycles, bytes int) sim.Cycles {
 	if bytes <= 0 {
 		return 0
@@ -66,14 +73,7 @@ func (ch *Channel) Transfer(now sim.Cycles, bytes int) sim.Cycles {
 	// Advance the base only far enough to bound memory, keeping
 	// retainWindows of history for late-arriving requests.
 	if w-ch.base > retainWindows {
-		newBase := w - retainWindows
-		drop := newBase - ch.base
-		if drop >= int64(len(ch.ring)) {
-			ch.ring = ch.ring[:0]
-		} else {
-			ch.ring = ch.ring[drop:]
-		}
-		ch.base = newBase
+		ch.advance(w - retainWindows)
 	}
 	if w < ch.base {
 		w = ch.base // request older than all retained history
@@ -82,17 +82,17 @@ func (ch *Channel) Transfer(now sim.Cycles, bytes int) sim.Cycles {
 	remaining := float64(bytes)
 	i := w
 	for remaining > 0 {
-		idx := i - ch.base
-		for int64(len(ch.ring)) <= idx {
-			ch.ring = append(ch.ring, 0)
+		if i-ch.base >= int64(len(ch.ring)) {
+			ch.grow(i - ch.base + 1)
 		}
-		free := capPerWin - ch.ring[idx]
+		used := &ch.ring[i&int64(len(ch.ring)-1)]
+		free := capPerWin - *used
 		if free > 0 {
 			take := free
 			if remaining < take {
 				take = remaining
 			}
-			ch.ring[idx] += take
+			*used += take
 			remaining -= take
 		}
 		if remaining > 0 {
@@ -111,6 +111,38 @@ func (ch *Channel) Transfer(now sim.Cycles, bytes int) sim.Cycles {
 		wait = 0
 	}
 	return wait
+}
+
+// advance drops the windows before newBase, zeroing their slots for reuse.
+func (ch *Channel) advance(newBase int64) {
+	if n := newBase - ch.base; n >= int64(len(ch.ring)) {
+		clear(ch.ring)
+	} else {
+		for i := ch.base; i < newBase; i++ {
+			ch.ring[i&int64(len(ch.ring)-1)] = 0
+		}
+	}
+	ch.base = newBase
+}
+
+// grow doubles the ring until it spans n windows from the base.
+func (ch *Channel) grow(n int64) {
+	size := int64(max(len(ch.ring), 1<<10))
+	for size < n {
+		size *= 2
+	}
+	ring := make([]float64, size)
+	for i := ch.base; i < ch.base+int64(len(ch.ring)); i++ {
+		ring[i&(size-1)] = ch.ring[i&int64(len(ch.ring)-1)]
+	}
+	ch.ring = ring
+}
+
+// Reset returns the channel to its just-built state, keeping the ring's
+// storage.
+func (ch *Channel) Reset() {
+	clear(ch.ring)
+	ch.base, ch.bytes = 0, 0
 }
 
 // Bytes returns the total bytes transferred.

@@ -78,6 +78,13 @@ func (t *lineVerTable) put(key uint64, st lineState) {
 	}
 }
 
+// reset forgets every line, keeping the table's grown storage (a larger
+// table answers get and put exactly as a smaller one does).
+func (t *lineVerTable) reset() {
+	clear(t.slots)
+	t.count = 0
+}
+
 func (t *lineVerTable) grow() {
 	old := t.slots
 	t.slots = make([]lineSlot, 2*len(old))
