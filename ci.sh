@@ -8,6 +8,11 @@ cd "$(dirname "$0")"
 
 go build ./...
 go vet ./...
+# Cross-build stage: the open-loop pacer reads a Linux timerfd
+# (internal/engine/pacer_linux.go); every other OS builds its time.Sleep
+# fallback, and these two builds keep that fallback compiling.
+GOOS=darwin GOARCH=arm64 go build ./...
+GOOS=windows GOARCH=amd64 go build ./...
 # perfbench is a module of its own (it replaces streamscale with the parent
 # directory), so the root build and vet never compile it: vet it here, so a
 # change to an API it uses breaks CI rather than the benchmark run.

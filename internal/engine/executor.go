@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"streamscale/internal/metrics"
@@ -155,10 +156,11 @@ type executor struct {
 	failAfter        int64 // input tuples before turning zombie; -1 = never
 	rootBase         int64
 	rootSeq          *int64
-	emitted          int   // tuples emitted this invocation
-	invBase          int64 // pacing base of the current source invocation
-	nextEmit         int64 // open-loop: earliest start of the next invocation
-	bornSched        float64
+	emitted          int     // tuples emitted this invocation
+	epoch            int64   // the run's start on the runtime's clock
+	nextEmit         int64   // open-loop: intended arrival of the next event
+	lastEvents       int     // open-loop: events of the previous invocation
+	bornSched        float64 // intended arrival of the next event, from epoch
 	bornStep         float64 // 0 until the intended-arrival schedule starts
 	nextBarrier      int64
 	barrierSeen      map[int64]int
@@ -278,8 +280,11 @@ func isSink(n *Node) bool {
 }
 
 // prepare runs the operator's Prepare. Checkpoint barriers fire at
-// epoch + k·interval on the runtime's clock.
+// epoch + k·interval on the runtime's clock, and open-loop arrival stamps
+// count from epoch, so a float64 offset keeps them exact on a UnixNano
+// clock (whose absolute values a float64 holds only to 256 ns).
 func (e *executor) prepare(epoch int64) {
+	e.epoch = epoch
 	if e.src != nil {
 		e.src.Prepare(e)
 		if e.cfg.barrierIv > 0 {
@@ -293,17 +298,40 @@ func (e *executor) prepare(epoch int64) {
 // drained reports whether every producer has sent its end of stream.
 func (e *executor) drained() bool { return e.eosSeen == e.nProducers }
 
+// due is the earliest instant the next source invocation may start. Under
+// SourceRate an invocation may not start before the intended arrival of
+// the last event it emits, so no tuple is stamped in its own future and
+// the batching wait counts in latency: it is expected to emit S events, or
+// as many as the previous invocation if that was more (a source's Next may
+// emit several). In closed loop, and before the schedule starts, it may
+// start at once.
+//
+//dsp:hotpath
+func (e *executor) due() int64 {
+	if e.bornStep == 0 {
+		return math.MinInt64
+	}
+	return e.nextEmit + e.ticks(max(e.cfg.batch, e.lastEvents)-1)
+}
+
+// ticks is the length of n open-loop inter-arrival gaps in clock ticks,
+// truncated.
+//
+//dsp:hotpath
+func (e *executor) ticks(n int) int64 {
+	return int64(float64(n) / e.cfg.rate * float64(e.cfg.hz))
+}
+
 // sourceStep runs one source invocation: a due checkpoint barrier first,
-// then up to BatchSize emissions. base is the instant the invocation's
-// open-loop pacing and intended-arrival schedule count from. It returns
+// then up to BatchSize emissions. start is the instant the invocation
+// started; the open-loop schedule counts from the first one. It returns
 // false once the source is exhausted.
 //
 //dsp:hotpath
-func (e *executor) sourceStep(base int64) bool {
+func (e *executor) sourceStep(start int64) bool {
 	if e.cfg.barrierIv > 0 {
 		e.maybeBarrier(e.port.now())
 	}
-	e.invBase = base
 	e.invocations++
 	e.cost.invoke(Msg{})
 	before := e.srcEvents
@@ -312,15 +340,40 @@ func (e *executor) sourceStep(base int64) bool {
 	for e.emitted < e.cfg.batch && alive {
 		alive = e.src.Next(e)
 	}
-	e.endInvocation()
-	if rate := e.cfg.rate; rate > 0 {
-		gap := int64(float64(e.srcEvents-before) / rate * float64(e.cfg.hz))
-		if e.nextEmit == 0 {
-			e.nextEmit = base
-		}
-		e.nextEmit += gap
+	if e.cfg.rate > 0 {
+		e.schedule(start, int(e.srcEvents-before))
 	}
+	e.endInvocation()
 	return alive
+}
+
+// schedule places an open-loop invocation's n events on the arrival
+// schedule, one every 1/rate, and stamps each with its intended arrival
+// (coordinated-omission correction: a backpressure stall at the throttled
+// source stays inside the measured latency). The schedule starts with the
+// first invocation, whose last event arrives at its start, so an unloaded
+// source stamps each batch's last event about the actual instant.
+//
+//dsp:hotpath
+func (e *executor) schedule(start int64, n int) {
+	if e.bornStep == 0 {
+		e.nextEmit = start - e.ticks(n-1)
+		e.bornSched = float64(e.nextEmit - e.epoch)
+		e.bornStep = float64(e.cfg.hz) / e.cfg.rate
+	}
+	if !e.cfg.co {
+		for si, buf := range e.buffers {
+			if si == e.ackIdx {
+				continue
+			}
+			for i := range buf {
+				buf[i].Born = e.epoch + int64(e.bornSched)
+				e.bornSched += e.bornStep
+			}
+		}
+	}
+	e.nextEmit += e.ticks(n)
+	e.lastEvents = n
 }
 
 // handle runs one message through the executor and reports whether it was
@@ -622,21 +675,11 @@ func (e *executor) EmitTo(stream string, values ...Value) {
 	if e.in != nil {
 		t.Born, t.Root = e.in.Born, e.in.Root
 	} else {
+		// An open-loop source's tuples are stamped again, with their
+		// intended arrival, once the invocation has emitted them all
+		// (schedule).
 		t.Born = e.port.stamp()
 		if e.src != nil {
-			if e.cfg.rate > 0 && !e.cfg.co && stream != AckStream {
-				// Open loop: stamp the scheduled arrival instant, so a
-				// backpressure stall at the throttled source stays inside
-				// the measured latency (coordinated-omission correction).
-				// The schedule starts at the pacing base, so an unloaded
-				// source stamps about the actual instant.
-				if e.bornStep == 0 {
-					e.bornSched = float64(e.invBase)
-					e.bornStep = float64(e.cfg.hz) / e.cfg.rate
-				}
-				t.Born = int64(e.bornSched)
-				e.bornSched += e.bornStep
-			}
 			*e.rootSeq++
 			t.Root = e.rootBase | *e.rootSeq
 		}

@@ -108,6 +108,37 @@ func TestNativePipelineAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestNativeConnsRecycleEverySlab: before the gate cell runs, every
+// producer→consumer conn has a free ring as deep as its data ring, and
+// full, so every slab that can be in flight has a recycling slot. The
+// allocation ceiling cannot see a shallower free ring: AllocsPerRun pins
+// GOMAXPROCS to 1, where a consumer drains before its producer outruns the
+// recycling, so this gate is structural.
+func TestNativeConnsRecycleEverySlab(t *testing.T) {
+	drivers, err := buildNative(wcTopology(2000, func() Operator {
+		return ProcessFunc(func(Context, Tuple) {})
+	}), NativeConfig{System: Storm(), BatchSize: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := 0
+	for _, d := range drivers {
+		for to, c := range d.out {
+			if c == nil {
+				continue
+			}
+			conns++
+			if c.free.Cap() != c.data.Cap() || c.free.Len() != c.free.Cap() {
+				t.Errorf("conn %d→%d: free ring holds %d of %d slots, data ring %d", d.ex.global, to,
+					c.free.Len(), c.free.Cap(), c.data.Cap())
+			}
+		}
+	}
+	if conns == 0 {
+		t.Fatal("the gate cell built no conns")
+	}
+}
+
 // TestDriverMethodsAreHotPath: every method of a driver's file named after
 // a transport or costHook method implements one of them and runs per
 // message or per tuple, on the native and the simulated runtime alike, and

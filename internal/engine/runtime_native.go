@@ -24,7 +24,8 @@ import (
 //
 // The cost hook charges nothing: the work is real. Checkpoint barriers run
 // at the profile's CheckpointInterval read at the Table III clock (20 ms
-// for Flink).
+// for Flink). An open-loop source parks on its own pacer (pacer_linux.go)
+// until its next invocation is due.
 
 // NativeConfig configures a run on the native (goroutine) runtime.
 type NativeConfig struct {
@@ -69,8 +70,25 @@ func (c *NativeConfig) fill() {
 // queues and returns measured wall-clock results. It blocks until all
 // sources are exhausted and the pipeline has fully drained.
 func RunNative(t *Topology, cfg NativeConfig) (*Result, error) {
+	drivers, err := buildNative(t, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res := runNative(drivers)
+	res.App, res.System = t.Name, cfg.System.Name
+	execs := make([]*executor, len(drivers))
+	for i, d := range drivers {
+		execs[i] = d.ex
+	}
+	summarize(res, execs)
+	return res, nil
+}
+
+// buildNative builds one driver per executor, linked by their rings. Each
+// open-loop source driver owns a pacer, which runNative closes when the
+// driver finishes.
+func buildNative(t *Topology, cfg NativeConfig) ([]*nativeDriver, error) {
 	cfg.fill()
-	name := t.Name
 	if cfg.Chaining {
 		chained, _, err := ChainTopology(t)
 		if err != nil {
@@ -93,6 +111,13 @@ func RunNative(t *Topology, cfg NativeConfig) (*Result, error) {
 		drivers[i] = &nativeDriver{ex: e, out: make([]*nativeConn, len(execs)), slabCap: max(4*cfg.BatchSize, 16)}
 		if e.src == nil {
 			drivers[i].in = ring.NewMPSC[Msg]()
+		} else if cfg.SourceRate > 0 {
+			if drivers[i].pacer, err = newPacer(); err != nil {
+				for _, d := range drivers[:i] {
+					d.pacer.close()
+				}
+				return nil, err
+			}
 		}
 		e.port, e.cost = drivers[i], freeWork{e}
 	}
@@ -109,10 +134,7 @@ func RunNative(t *Topology, cfg NativeConfig) (*Result, error) {
 			}
 		}
 	}
-	res := runNative(drivers)
-	res.App, res.System = name, cfg.System.Name
-	summarize(res, execs)
-	return res, nil
+	return drivers, nil
 }
 
 // nativeConn is one producer-executor → consumer-executor link: a data
@@ -134,7 +156,8 @@ type nativeDriver struct {
 	inConns []*nativeConn // parallel to in's lanes
 	out     []*nativeConn // by consumer global index; nil if not linked
 	slabCap int
-	born    int64 // the last clock reading
+	born    int64  // the last clock reading
+	pacer   *pacer // an open-loop source's; nil otherwise
 }
 
 // maxConnMsgs caps one producer→consumer ring's depth. Beyond a few dozen
@@ -167,7 +190,7 @@ func (d *nativeDriver) link(ce *nativeDriver, capMsgs int) *nativeConn {
 }
 
 // runNative runs every driver on its own goroutine until the pipeline has
-// drained, and times it.
+// drained, and times it. A driver's pacer closes when the driver finishes.
 //
 //dsplint:wallclock
 func runNative(drivers []*nativeDriver) *Result {
@@ -178,6 +201,7 @@ func runNative(drivers []*nativeDriver) *Result {
 		go func(d *nativeDriver) {
 			defer wg.Done()
 			d.run(start.UnixNano())
+			d.pacer.close()
 		}(d)
 	}
 	wg.Wait()
@@ -214,15 +238,13 @@ func (d *nativeDriver) run(epoch int64) {
 }
 
 // pace reads the clock at the start of a source invocation and, under
-// SourceRate, sleeps until the invocation's scheduled start.
+// SourceRate, parks on the pacer until the invocation is due.
 //
 //dsp:hotpath
-//dsplint:wallclock
 func (d *nativeDriver) pace() int64 {
 	now := d.now()
-	for now < d.ex.nextEmit {
-		time.Sleep(time.Duration(d.ex.nextEmit - now))
-		now = d.now()
+	for due := d.ex.due(); now < due; now = d.now() {
+		d.pacer.wait(due)
 	}
 	return now
 }

@@ -473,8 +473,9 @@ func (d *simDriver) Step(quantum sim.Cycles) (sim.Cycles, sim.Disposition) {
 			if d.srcDone {
 				return d.beginFinish()
 			}
-			if at := sim.Cycles(ex.nextEmit); ex.cfg.rate > 0 && d.nowCycles() < at {
-				// Open-loop pacing: sleep until the next arrival instant.
+			if at := sim.Cycles(ex.due()); d.nowCycles() < at {
+				// Open-loop pacing: sleep until the invocation's last
+				// event arrives.
 				th := d.thread
 				d.rt.kernel.At(at, func() { d.rt.sched.Wake(th) })
 				return d.consumed, sim.Blocked
