@@ -45,6 +45,12 @@ go test -run TestColdVsWarmEquivalence -count=1 ./internal/bench/
 # out of the tree.
 BENCH_DIR=$(mktemp -d)
 trap 'rm -rf "$BENCH_DIR"' EXIT
+# Report stage: a cold full report (no -cache, default -jobs) must print
+# exactly the committed report_output.txt. The report is deterministic at
+# any worker count, so any difference is a changed result: regenerate and
+# commit report_output.txt with the change that moved it.
+go run ./cmd/dspreport -quiet > "$BENCH_DIR/report.txt"
+diff -u report_output.txt "$BENCH_DIR/report.txt" || { echo "ci: dspreport output differs from report_output.txt" >&2; exit 1; }
 go build -o "$BENCH_DIR/dspbench" ./cmd/dspbench
 (cd "$BENCH_DIR" && ./dspbench -app wc -system storm -batch 8 -quiet -json >/dev/null)
 (cd "$BENCH_DIR" && ./dspbench -app lr -system flink -batch 8 -quiet -json >/dev/null)

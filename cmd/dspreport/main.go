@@ -172,12 +172,8 @@ func baseExperiments(val *[]bench.Validation) []experiment {
 			if err != nil {
 				return "", err
 			}
-			shift, sv, err := bench.JointShift()
-			if err != nil {
-				return "", err
-			}
-			*val = append(append(*val, v...), sv)
-			return bench.JointTable(rows) + "\n" + bench.JointShiftTable(shift), nil
+			*val = append(*val, v...)
+			return bench.JointTable(rows), nil
 		}},
 		{id: "joint-smoke", desc: "joint-search CI gate: exhaustive candidate simulation and rank-tau (runs only when selected)",
 			run: func() (string, error) {

@@ -573,7 +573,7 @@ func Placement() ([]PlacementRow, []Validation, error) {
 			})
 			v := placed.Validation
 			v.Screened += comb.Validation.Screened
-			v.score(placed.Verified, comb.Verified)
+			v.score(nil, placed.Verified, comb.Verified)
 			val[si] = append(val[si], v)
 		}
 	}
@@ -804,11 +804,6 @@ func PlacementAblationTable(rows []PlacementAblationRow) string {
 			r.System, r.App, r.RoundRobin*100, r.MinKCut*100, r.ModelSearch*100)
 	}
 	return b.String()
-}
-
-// SortRows orders cell results deterministically (app, then system).
-func SortRows(cells []CellResult) {
-	sort.Slice(cells, func(i, j int) bool { return cells[i].key() < cells[j].key() })
 }
 
 // --- Ablation: decoded-µop cache (D-ICache) ------------------------------

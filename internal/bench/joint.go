@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"streamscale/internal/place"
@@ -55,13 +56,6 @@ type JointSearch struct {
 	Validation      Validation
 }
 
-// jointSearchOptions are the joint search's defaults on the harness's
-// worker count: the per-row search and the joint-shift sweep both run
-// them.
-func jointSearchOptions() place.JointOptions {
-	return place.JointOptions{Search: place.SearchOptions{Workers: Jobs()}}
-}
-
 // jointOverride maps a parallelism vector to the Cell override form: only
 // operators that differ from the default appear, so the identity vector
 // yields an empty map and the cell memo-keys identically to a
@@ -90,7 +84,7 @@ func SearchJoint(app, system string, batch, scale int) (*JointSearch, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := w.SearchJoint(jointSearchOptions())
+	res, err := w.SearchJoint(place.JointOptions{Search: place.SearchOptions{Workers: Jobs()}})
 	if err != nil {
 		return nil, fmt.Errorf("joint search %s/%s: %w", app, system, err)
 	}
@@ -141,7 +135,18 @@ func SearchJoint(app, system string, batch, scale int) (*JointSearch, error) {
 	if err := verify(out.Verified); err != nil {
 		return nil, err
 	}
-	out.Validation.score(out.Verified)
+	// The candidates rank against the incumbent they compete with: the
+	// placement winner at the default vector, predicted by the same model
+	// (the identity vector re-prices nothing) and already simulated by the
+	// placement decision. A decision that kept the unplaced run leaves no
+	// plan the model can predict, so its candidates rank only among
+	// themselves.
+	var incumbent *Candidate
+	if !fixed.Kept {
+		i := slices.IndexFunc(fixed.Verified, func(c Candidate) bool { return slices.Equal(c.Key, fixed.Winner) })
+		incumbent = &fixed.Verified[i]
+	}
+	out.Validation.score(incumbent, out.Verified)
 
 	// Winner: the fixed plan unless a joint configuration measured
 	// STRICTLY better — ties keep the default parallelism, so a joint row

@@ -106,7 +106,7 @@ func JointSmoke() (string, []Validation, error) {
 	}
 
 	var gate Validation
-	gate.score(groups...)
+	gate.score(nil, groups...)
 	fmt.Fprintf(&b, "joint-smoke: screened-vs-measured rank-tau %.2f over %d pair(s) (gate >= %.2f, %d simulated)\n",
 		gate.RankTau, gate.Pairs, tauGate, gate.Verified)
 	if gate.Pairs > 0 && gate.RankTau < tauGate {

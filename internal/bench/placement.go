@@ -285,7 +285,7 @@ func searchPlacement(model *place.Model, app, system string, batch, scale int) (
 			out.SeedThroughput = max(out.SeedThroughput, out.Verified[i].Measured())
 		}
 	}
-	out.Validation.score(out.Verified)
+	out.Validation.score(nil, out.Verified)
 	out.decide(cands[len(picked)].Measured())
 	return out, nil
 }

@@ -98,8 +98,9 @@ type Validation struct {
 	Screened, Verified, Probes int
 	// RankTau is the Kendall rank correlation between predicted and
 	// measured throughput over Pairs: the pairs of verified candidates in
-	// one group whose predictions differ by more than rankEps and whose
-	// measurements differ.
+	// one group, or of a candidate and the decision's incumbent, whose
+	// predictions differ by more than rankEps and whose measurements
+	// differ.
 	RankTau float64
 	Pairs   int
 	// MeanErr is the mean relative error of predicted vs measured
@@ -109,9 +110,23 @@ type Validation struct {
 
 // score fills Verified, RankTau, Pairs and MeanErr from the decision's
 // candidates. Pairs are formed only within a group, and unverified
-// candidates are skipped.
-func (v *Validation) score(groups ...[]Candidate) {
+// candidates are skipped. A non-nil, verified incumbent is the plan the
+// candidates compete with: it pairs with every candidate of every group,
+// but adds nothing to Verified or MeanErr, which count only what the
+// decision itself simulated.
+func (v *Validation) score(incumbent *Candidate, groups ...[]Candidate) {
 	conc, disc := 0, 0
+	pair := func(a, b *Candidate) {
+		pa, ma, pb, mb := a.Predicted, a.Measured(), b.Predicted, b.Measured()
+		if math.Abs(pa-pb) <= rankEps*math.Max(pa, pb) || ma == mb {
+			return
+		}
+		if (pa > pb) == (ma > mb) {
+			conc++
+		} else {
+			disc++
+		}
+	}
 	var errSum float64
 	var errN int
 	v.Verified = 0
@@ -121,23 +136,16 @@ func (v *Validation) score(groups ...[]Candidate) {
 				continue
 			}
 			v.Verified++
-			pi, mi := g[i].Predicted, g[i].Measured()
-			if mi > 0 {
-				errSum += math.Abs(pi-mi) / mi
+			if mi := g[i].Measured(); mi > 0 {
+				errSum += math.Abs(g[i].Predicted-mi) / mi
 				errN++
 			}
+			if incumbent != nil && incumbent.Res != nil {
+				pair(&g[i], incumbent)
+			}
 			for j := i + 1; j < len(g); j++ {
-				if g[j].Res == nil {
-					continue
-				}
-				pj, mj := g[j].Predicted, g[j].Measured()
-				if math.Abs(pi-pj) <= rankEps*math.Max(pi, pj) || mi == mj {
-					continue
-				}
-				if (pi > pj) == (mi > mj) {
-					conc++
-				} else {
-					disc++
+				if g[j].Res != nil {
+					pair(&g[i], &g[j])
 				}
 			}
 		}

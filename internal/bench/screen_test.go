@@ -17,30 +17,36 @@ func measured(key []int, pred float64, events int64) Candidate {
 }
 
 func TestValidationScore(t *testing.T) {
+	incumbent := measured(nil, 100, 50)
 	cases := []struct {
-		name    string
-		groups  [][]Candidate
-		tau     float64
-		pairs   int
-		meanErr float64
+		name      string
+		incumbent *Candidate
+		groups    [][]Candidate
+		tau       float64
+		pairs     int
+		meanErr   float64
 	}{
-		{"concordant", [][]Candidate{{measured(nil, 100, 100), measured(nil, 200, 300)}}, 1, 1, (0 + 1.0/3) / 2},
-		{"discordant", [][]Candidate{{measured(nil, 100, 300), measured(nil, 200, 100)}}, -1, 1, (2.0/3 + 1) / 2},
-		{"mixed", [][]Candidate{{measured(nil, 100, 100), measured(nil, 200, 200), measured(nil, 300, 150)}},
+		{"concordant", nil, [][]Candidate{{measured(nil, 100, 100), measured(nil, 200, 300)}}, 1, 1, (0 + 1.0/3) / 2},
+		{"discordant", nil, [][]Candidate{{measured(nil, 100, 300), measured(nil, 200, 100)}}, -1, 1, (2.0/3 + 1) / 2},
+		{"mixed", nil, [][]Candidate{{measured(nil, 100, 100), measured(nil, 200, 200), measured(nil, 300, 150)}},
 			1.0 / 3, 3, (0 + 0 + 1) / 3.0},
 		// 100 vs 100.4 is within rankEps: the model claims no order.
-		{"predictions within eps", [][]Candidate{{measured(nil, 100, 100), measured(nil, 100.4, 50)}}, 0, 0, (0 + 1.008) / 2},
-		{"equal measurements", [][]Candidate{{measured(nil, 100, 100), measured(nil, 200, 100)}}, 0, 0, (0 + 1) / 2.0},
-		{"unverified ignored", [][]Candidate{{measured(nil, 100, 100), {Predicted: 50}, measured(nil, 200, 200)}}, 1, 1, 0},
+		{"predictions within eps", nil, [][]Candidate{{measured(nil, 100, 100), measured(nil, 100.4, 50)}}, 0, 0, (0 + 1.008) / 2},
+		{"equal measurements", nil, [][]Candidate{{measured(nil, 100, 100), measured(nil, 200, 100)}}, 0, 0, (0 + 1) / 2.0},
+		{"unverified ignored", nil, [][]Candidate{{measured(nil, 100, 100), {Predicted: 50}, measured(nil, 200, 200)}}, 1, 1, 0},
 		// Across groups the pair would be discordant; it is never formed.
-		{"pairs within a group", [][]Candidate{{measured(nil, 100, 300)}, {measured(nil, 200, 100)}}, 0, 0, (2.0/3 + 1) / 2},
-		{"mean error over measured > 0", [][]Candidate{{measured(nil, 100, 0), measured(nil, 150, 100)}}, 1, 1, 0.5},
-		{"no pairs", [][]Candidate{{measured(nil, 100, 100)}}, 0, 0, 0},
-		{"nothing verified", [][]Candidate{{{Predicted: 100}, {Predicted: 200}}}, 0, 0, 0},
+		{"pairs within a group", nil, [][]Candidate{{measured(nil, 100, 300)}, {measured(nil, 200, 100)}}, 0, 0, (2.0/3 + 1) / 2},
+		{"mean error over measured > 0", nil, [][]Candidate{{measured(nil, 100, 0), measured(nil, 150, 100)}}, 1, 1, 0.5},
+		{"no pairs", nil, [][]Candidate{{measured(nil, 100, 100)}}, 0, 0, 0},
+		{"nothing verified", nil, [][]Candidate{{{Predicted: 100}, {Predicted: 200}}}, 0, 0, 0},
+		// The candidates tie in the model, so only their pairs with the
+		// incumbent rank; its 100% error stays out of the mean.
+		{"incumbent adds pairs only", &incumbent, [][]Candidate{{measured(nil, 200, 300), measured(nil, 200, 250)}},
+			1, 2, (1.0/3 + 0.2) / 2},
 	}
 	for _, tc := range cases {
 		v := Validation{Screened: 9, Probes: 1}
-		v.score(tc.groups...)
+		v.score(tc.incumbent, tc.groups...)
 		verified := 0
 		for _, g := range tc.groups {
 			for _, c := range g {
@@ -138,7 +144,7 @@ func TestValidationTableGolden(t *testing.T) {
 		{Decision: "tier", Name: "fig12-wide", Screened: 168, Verified: 42, Probes: 14, RankTau: 1, Pairs: 36, MeanErr: 0.439},
 		{Decision: "joint", Name: "wc/storm", Screened: 9, Verified: 2, Probes: 1, RankTau: -1, Pairs: 1, MeanErr: 0.12},
 		{Decision: "placement", Name: "wc/storm", Screened: 28, Verified: 6, Probes: 1, RankTau: 0.5, Pairs: 4, MeanErr: 0.262},
-		{Decision: "joint", Name: "spec-shift", Screened: 504, Probes: 14},
+		{Decision: "joint", Name: "fd/storm", Screened: 3, Probes: 1},
 		{Decision: "placement", Name: "lr/flink", Screened: 18, Verified: 5, Probes: 1, MeanErr: 0.323},
 	}
 	want := "" +
@@ -147,7 +153,7 @@ func TestValidationTableGolden(t *testing.T) {
 		"placement wc/storm              28         6       1      0.50       4     26.2%\n" +
 		"placement lr/flink              18         5       1         -       0     32.3%\n" +
 		"joint     wc/storm               9         2       1     -1.00       1     12.0%\n" +
-		"joint     spec-shift           504         0      14         -       0         -\n" +
+		"joint     fd/storm               3         0       1         -       0         -\n" +
 		"tier      fig12-wide           168        42      14      1.00      36     43.9%\n"
 	if got := ValidationTable(vals); got != want {
 		t.Errorf("ValidationTable drifted:\ngot:\n%s\nwant:\n%s", got, want)

@@ -197,7 +197,7 @@ func RunCellsTiered(name string, groups []TierGroup, pol TierPolicy) (*TierRun, 
 			cands[gi] = append(cands[gi], tc.Candidate)
 		}
 	}
-	run.Validation.score(cands...)
+	run.Validation.score(nil, cands...)
 	return run, nil
 }
 

@@ -336,7 +336,7 @@ func TierSmoke() (string, Validation, error) {
 		}
 	}
 	var sweep Validation
-	sweep.score(all...)
+	sweep.score(nil, all...)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "tier-smoke: %d verified row(s) bit-identical to the full-sim path\n", checked)

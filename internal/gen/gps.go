@@ -94,9 +94,6 @@ func NewGPSGen(seed int64, grid *RoadGrid, vehicles int) *GPSGen {
 	return g
 }
 
-// Grid returns the underlying road network.
-func (g *GPSGen) Grid() *RoadGrid { return g.grid }
-
 // Next returns one trace point.
 func (g *GPSGen) Next() GPSTrace {
 	id := g.rng.Intn(len(g.vehicles))

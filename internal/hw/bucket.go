@@ -93,9 +93,6 @@ func (v *CostVec) GroupTotal(g BucketGroup) sim.Cycles {
 	return t
 }
 
-// Stalls returns all non-computation time.
-func (v *CostVec) Stalls() sim.Cycles { return v.Total() - v[TC] }
-
 // BucketGroup is one of the paper's four top-level execution-time
 // components (Figure 7): effective computation, bad speculation, and
 // front-end and back-end stalls.

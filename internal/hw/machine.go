@@ -679,16 +679,3 @@ func (m *Machine) QPIBytes() uint64 {
 
 // DRAMBytes returns total bytes read from the given socket's memory.
 func (m *Machine) DRAMBytes(socket int) uint64 { return m.sockets[socket].dram.Bytes() }
-
-// L1IMissRate returns the aggregate L1I miss rate across cores.
-func (m *Machine) L1IMissRate() float64 {
-	var h, ms uint64
-	for _, c := range m.cores {
-		h += c.l1i.Hits()
-		ms += c.l1i.Misses()
-	}
-	if h+ms == 0 {
-		return 0
-	}
-	return float64(ms) / float64(h+ms)
-}

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"streamscale/internal/engine"
-	"streamscale/internal/hw"
 )
 
 // The joint parallelism + placement search (BriskStream's relative-
@@ -146,15 +145,6 @@ func NewWorkload(m *Model, topo *engine.Topology, sys engine.SystemProfile) (*Wo
 		}
 	}
 	return w, nil
-}
-
-// Retarget returns the workload re-priced for a different machine spec
-// (Model.Retarget). The operator structure depends only on the topology
-// and system profile, so it carries over unchanged.
-func (w *Workload) Retarget(spec hw.MachineSpec) *Workload {
-	out := *w
-	out.Model = w.Model.Retarget(spec)
-	return &out
 }
 
 // DefaultPar returns the probe's parallelism vector.

@@ -98,9 +98,9 @@ func TestRetargetRoundTrip(t *testing.T) {
 // A -> B -> C lands on the same model as A -> C directly, for every pair
 // of intermediate and final variants. Line counts are spec-invariant and
 // every priced quantity rescales by a ratio of spec scalars, so the
-// intermediate hop must cancel out; a composition failure would make
-// JointShift's per-variant optima depend on the baseline they happened to
-// be derived from.
+// intermediate hop must cancel out; a composition failure would make a
+// retargeted model, and the fast tier's spec-matrix estimates built on it,
+// depend on the path taken rather than only on the probe and the target.
 func TestRetargetComposes(t *testing.T) {
 	res, sys := probe(t)
 	base, err := Calibrate(res, hw.TableIII(), sys, 1)

@@ -33,9 +33,6 @@ func (m *MPSC[T]) AddProducer(capacity int) *SPSC[T] {
 	return l
 }
 
-// Lanes returns the number of producer lanes.
-func (m *MPSC[T]) Lanes() int { return len(m.lanes) }
-
 // TryPop scans the lanes round-robin from the cursor and returns the first
 // available item plus the index of the lane it came from. The cursor
 // persists across calls so a chatty lane cannot starve the others.

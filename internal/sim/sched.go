@@ -156,9 +156,6 @@ func NewScheduler(k *Kernel, nCores, coresPerSocket int, cfg SchedulerConfig) *S
 // Cores returns the simulated cores.
 func (s *Scheduler) Cores() []*Core { return s.cores }
 
-// Threads returns all spawned threads.
-func (s *Scheduler) Threads() []*Thread { return s.threads }
-
 // Live reports the number of threads that have not finished.
 func (s *Scheduler) Live() int { return s.live }
 
