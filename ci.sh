@@ -79,12 +79,17 @@ test -s "$BENCH_DIR/BENCH_native_wc_storm.json" || { echo "ci: missing BENCH_nat
 # so the allocation gates skip under -race). The ring hop must stay
 # allocation-free, the native wc/storm/S=4 cell and a simulated sim-cells
 # cell on a reused machine must stay under their committed allocation
-# ceilings, and every transport and cost-hook method of both drivers, and
-# the Context cost methods, must be //dsp:hotpath, so the dsplint run above
-# checks them for allocation and blocking synchronization. ci.sh asserts
-# no wall-clock figure: perfbench's workloads and layer metrics measure
-# throughput.
-go test -run 'TestRingTransferZeroAllocs|TestRingMsgTransferZeroAllocs|TestNativePipelineAllocCeiling|TestDriverMethodsAreHotPath|TestSimCellAllocCeiling' -count=1 ./internal/ring/ ./internal/engine/ ./internal/bench/
+# ceilings, a Table III machine must stay under its committed footprint,
+# and every transport and cost-hook method of both drivers, and the Context
+# cost methods, must be //dsp:hotpath, so the dsplint run above checks them
+# for allocation and blocking synchronization. ci.sh asserts no wall-clock
+# figure: perfbench's workloads and layer metrics measure throughput.
+go test -run 'TestRingTransferZeroAllocs|TestRingMsgTransferZeroAllocs|TestNativePipelineAllocCeiling|TestDriverMethodsAreHotPath|TestSimCellAllocCeiling|TestMachineFootprint' -count=1 ./internal/ring/ ./internal/engine/ ./internal/bench/ ./internal/hw/
+# Fuzz stage: FuzzCacheMatchesReference holds hw.Cache to the tick-scan LRU
+# cache it replaced (internal/hw/cache_ref_test.go) on every hit, miss, way
+# index and counter. The test runs above replay its committed corpus
+# (internal/hw/testdata/fuzz); this explores new inputs for a fixed time.
+go test -run '^$' -fuzz '^FuzzCacheMatchesReference$' -fuzztime 20s ./internal/hw/
 # Ring stress stage: the high-iteration SPSC/MPSC protocol hammer under the
 # race detector (skipped without DSP_STRESS so plain `go test ./...` stays
 # fast). Sequence checks catch lost/reordered items; -race catches the

@@ -432,7 +432,7 @@ func (o *lrBalanceOp) Process(ctx engine.Context, t engine.Tuple) {
 type lrDailyOp struct {
 	seed     int64
 	vehicles int
-	hist     map[[2]int]int
+	hist     gen.TollHistory
 }
 
 func newLRDailyOp(seed int64, vehicles int) *lrDailyOp {
@@ -447,5 +447,5 @@ func (o *lrDailyOp) Process(ctx engine.Context, t engine.Tuple) {
 	vid := t.Values[0].(int)
 	day := t.Values[2].(int)
 	qid := t.Values[3].(int)
-	ctx.Emit(qid, vid, day, o.hist[[2]int{vid, day}])
+	ctx.Emit(qid, vid, day, o.hist.Toll(vid, day))
 }

@@ -10,7 +10,7 @@ import (
 // simAllocCeiling bounds the bytes one sim-cells cell allocates on a
 // machine from the free list: 1.2% above the largest of 5,327,904-5,333,424
 // bytes measured over two runs at -count 10. Building a machine per cell
-// (about 37 MB of caches) exceeds it several times over.
+// (about 17 MB of caches) exceeds it three times over.
 const simAllocCeiling = 5_400_000
 
 // TestSimCellAllocCeiling runs the wc/storm cell of perfbench's sim-cells

@@ -285,15 +285,26 @@ func TestLRGenTimeAdvances(t *testing.T) {
 	}
 }
 
+// TestHistoricalTolls checks the toll history against the draws it stands
+// for (one rng.Intn(90) per vehicle, then per day, as the map it replaced
+// drew them) and reads 0 outside the table, as that map's missing keys did.
 func TestHistoricalTolls(t *testing.T) {
-	h := HistoricalTolls(1, 10, 5)
-	if len(h) != 50 {
-		t.Fatalf("table size = %d, want 50", len(h))
+	const vehicles, days = 10, 5
+	h := HistoricalTolls(1, vehicles, days)
+	if len(h.tolls) != vehicles*days {
+		t.Fatalf("table size = %d, want %d", len(h.tolls), vehicles*days)
 	}
-	h2 := HistoricalTolls(1, 10, 5)
-	for k, v := range h {
-		if h2[k] != v {
-			t.Fatal("historical tolls not deterministic")
+	rng := rand.New(rand.NewSource(1))
+	for v := 0; v < vehicles; v++ {
+		for d := 1; d <= days; d++ {
+			if got, want := h.Toll(v, d), rng.Intn(90); got != want {
+				t.Fatalf("Toll(%d, %d) = %d, want %d", v, d, got, want)
+			}
+		}
+	}
+	for _, q := range [][2]int{{-1, 1}, {vehicles, 1}, {0, 0}, {0, days + 1}, {vehicles - 1, -3}} {
+		if got := h.Toll(q[0], q[1]); got != 0 {
+			t.Errorf("Toll(%d, %d) outside the history = %d, want 0", q[0], q[1], got)
 		}
 	}
 }

@@ -147,15 +147,30 @@ func (g *LRGen) Next() LRRecord {
 	}
 }
 
-// HistoricalTolls returns a deterministic per-(vehicle, day) toll table for
-// daily-expenditure queries, standing in for Linear Road's 10-week history.
-func HistoricalTolls(seed int64, vehicles, days int) map[[2]int]int {
+// TollHistory is a per-(vehicle, day) toll table for daily-expenditure
+// queries, standing in for Linear Road's 10-week history: vehicles 0 to
+// vehicles-1, days 1 to days, each toll in [0, 90).
+type TollHistory struct {
+	vehicles, days int
+	tolls          []uint8 // vehicle-major: vehicle v's day d at v*days+d-1
+}
+
+// HistoricalTolls returns a deterministic toll history, drawn vehicle by
+// vehicle and, within a vehicle, day by day.
+func HistoricalTolls(seed int64, vehicles, days int) TollHistory {
 	rng := rand.New(rand.NewSource(seed))
-	m := make(map[[2]int]int, vehicles*days)
-	for v := 0; v < vehicles; v++ {
-		for d := 1; d <= days; d++ {
-			m[[2]int{v, d}] = rng.Intn(90)
-		}
+	h := TollHistory{vehicles: vehicles, days: days, tolls: make([]uint8, vehicles*days)}
+	for i := range h.tolls {
+		h.tolls[i] = uint8(rng.Intn(90))
 	}
-	return m
+	return h
+}
+
+// Toll returns vehicle vid's toll on day, or 0 for a vehicle or day outside
+// the history.
+func (h TollHistory) Toll(vid, day int) int {
+	if vid < 0 || vid >= h.vehicles || day < 1 || day > h.days {
+		return 0
+	}
+	return int(h.tolls[vid*h.days+day-1])
 }

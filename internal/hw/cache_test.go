@@ -197,7 +197,7 @@ func TestCacheProperties(t *testing.T) {
 }
 
 func TestCachePanicsOnBadShape(t *testing.T) {
-	for _, tc := range []struct{ sets, assoc int }{{3, 2}, {0, 2}, {4, 0}} {
+	for _, tc := range []struct{ sets, assoc int }{{3, 2}, {0, 2}, {4, 0}, {1, 128}} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -19,6 +20,7 @@ type Machine struct {
 	qpi     [][]*Channel // [from][to], nil on the diagonal
 
 	iBlockBytes int
+	iBlockShift uint // log2(iBlockBytes)
 	pageShift   uint
 
 	// versions holds per written data line its coherence version (a write
@@ -204,6 +206,7 @@ func NewMachine(spec MachineSpec) *Machine {
 	m := &Machine{
 		Spec:        spec,
 		iBlockBytes: spec.L1I.BlockBytes,
+		iBlockShift: uint(bits.TrailingZeros(uint(spec.L1I.BlockBytes))),
 		versions:    newLineVerTable(),
 	}
 	for s := 1 << 12; s < spec.PageBytes; s <<= 1 {
@@ -288,7 +291,9 @@ func ReleaseMachine(m *Machine) {
 // Reset returns the machine to its just-built state: every cache, TLB and
 // µop cache empty, no line written, idle channels, no footprint history, a
 // zero ledger and zero counts. Its cost is proportional to the state the
-// machine's runs touched since the last reset, not to its capacity.
+// machine's runs touched since the last reset, not to its capacity: a cache
+// resets by starting a new generation, and clears each set on its first
+// probe after.
 func (m *Machine) Reset() {
 	for _, c := range m.cores {
 		for _, cc := range []*Cache{c.l1i, c.l1d, c.l2, c.itlb, c.dtlb, c.stlb} {
@@ -316,14 +321,7 @@ func (m *Machine) Reset() {
 	m.ops = Ops{}
 }
 
-func pow2Sets(t TLBSpec) int {
-	sets := t.Entries / t.Assoc
-	p := 1
-	for p*2 <= sets {
-		p *= 2
-	}
-	return p
-}
+func pow2Sets(t TLBSpec) int { return floorPow2(t.Entries / t.Assoc) }
 
 // SocketOfCore returns the socket a core belongs to.
 func (m *Machine) SocketOfCore(core int) int { return m.cores[core].socket }
@@ -470,7 +468,7 @@ func (m *Machine) FetchCode(core int, base uint64, size int, now sim.Cycles, out
 	first := base &^ (ib - 1)
 	last := (base + uint64(size) - 1) &^ (ib - 1)
 	m.ops.FetchCalls++
-	m.ops.FetchBlocks += (last-first)/ib + 1
+	m.ops.FetchBlocks += (last-first)>>m.iBlockShift + 1
 	// As in dataAccess: a page probe identical to the previous block's is
 	// a guaranteed hit charging nothing, so it is skipped.
 	lastPage := ^uint64(0)
@@ -490,7 +488,7 @@ func (m *Machine) FetchCode(core int, base uint64, size int, now sim.Cycles, out
 			}
 		}
 
-		key := block / ib
+		key := block >> m.iBlockShift
 		if way, hit := c.l1i.AccessWay(key); hit {
 			// An L1I hit is served by the decoded-µop cache, skipping fetch
 			// and decode, or pays legacy decode.

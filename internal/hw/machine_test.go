@@ -1,6 +1,8 @@
 package hw
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"streamscale/internal/sim"
@@ -255,5 +257,32 @@ func TestDRAMUtilizationSelectsSockets(t *testing.T) {
 	}
 	if m.DRAMUtilization([]int{1}, 1<<20) != 0 {
 		t.Fatal("socket 1 shows utilization without traffic")
+	}
+}
+
+// machineFootprintCeiling bounds the bytes NewMachine(TableIII()) allocates:
+// 1.2% above the 16,890,432 bytes measured (16,892,736 under -race). Its
+// four 20-way LLCs are most of it, at 208 bytes per set; with a last-use
+// tick per way and an MRU hint per set, a machine took 37,127,648 bytes.
+const machineFootprintCeiling = 17_100_000
+
+// TestMachineFootprint measures the bytes (runtime.MemStats.TotalAlloc, GC
+// off) that building a Table III machine allocates. They must stay under
+// machineFootprintCeiling and above 90% of it, so that a cut has to lower
+// the ceiling with it.
+func TestMachineFootprint(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := NewMachine(TableIII())
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("NewMachine(TableIII()) allocated %d bytes", bytes)
+	if bytes > machineFootprintCeiling {
+		t.Fatalf("NewMachine(TableIII()) allocated %d bytes, above the ceiling %d", bytes, machineFootprintCeiling)
+	}
+	if bytes < machineFootprintCeiling*9/10 {
+		t.Fatalf("NewMachine(TableIII()) allocated %d bytes, under 90%% of the ceiling %d: lower machineFootprintCeiling", bytes, machineFootprintCeiling)
 	}
 }
