@@ -77,9 +77,9 @@ go build -race -o "$BENCH_DIR/dspbench-race" ./cmd/dspbench
 test -s "$BENCH_DIR/BENCH_native_wc_storm.json" || { echo "ci: missing BENCH_native_wc_storm.json" >&2; exit 1; }
 # Hot-path stage (non-race: the race detector's instrumentation allocates,
 # so the allocation gates skip under -race). The ring hop must stay
-# allocation-free, the native wc/storm/S=4 cell and a simulated sim-cells
-# cell on a reused machine must stay under their committed allocation
-# ceilings, a Table III machine must stay under its committed footprint,
+# allocation-free, the native wc/storm/S=4 cell and the simulated
+# wc/storm and vs/storm sim-cells cells on a reused machine must stay under
+# their committed allocation ceilings, a Table III machine must stay under its committed footprint,
 # and every transport and cost-hook method of both drivers, and the Context
 # cost methods, must be //dsp:hotpath, so the dsplint run above checks them
 # for allocation and blocking synchronization. ci.sh asserts no wall-clock
@@ -87,9 +87,12 @@ test -s "$BENCH_DIR/BENCH_native_wc_storm.json" || { echo "ci: missing BENCH_nat
 go test -run 'TestRingTransferZeroAllocs|TestRingMsgTransferZeroAllocs|TestNativePipelineAllocCeiling|TestDriverMethodsAreHotPath|TestSimCellAllocCeiling|TestMachineFootprint' -count=1 ./internal/ring/ ./internal/engine/ ./internal/bench/ ./internal/hw/
 # Fuzz stage: FuzzCacheMatchesReference holds hw.Cache to the tick-scan LRU
 # cache it replaced (internal/hw/cache_ref_test.go) on every hit, miss, way
-# index and counter. The test runs above replay its committed corpus
-# (internal/hw/testdata/fuzz); this explores new inputs for a fixed time.
+# index and counter, and FuzzBloomMatchesDense holds the sparse decaying
+# Bloom filter to a dense one on every estimate (internal/apps/bloom_test.go).
+# The test runs above replay their committed corpora (testdata/fuzz in each
+# package); this explores new inputs for a fixed time.
 go test -run '^$' -fuzz '^FuzzCacheMatchesReference$' -fuzztime 20s ./internal/hw/
+go test -run '^$' -fuzz '^FuzzBloomMatchesDense$' -fuzztime 10s ./internal/apps/
 # Ring stress stage: the high-iteration SPSC/MPSC protocol hammer under the
 # race detector (skipped without DSP_STRESS so plain `go test ./...` stays
 # fast). Sequence checks catch lost/reordered items; -race catches the

@@ -11,21 +11,18 @@ import (
 // exponentially with stream time; Add refreshes a key's cells toward 1 and
 // Estimate reads the minimum surviving cell value.
 //
-// Cells are allocated a chunk at a time, on the first Add to the chunk: a
-// VS filter has 2^17 cells, but an executor touches only its keys' cells.
-// A missing chunk reads as value 0 stamped at time 0, which is what a
-// dense filter holds there, so every estimate equals the dense one's.
+// Only written cells are stored: a VS filter has 2^17 cells, but an
+// executor writes only its keys' cells. A missing cell reads as value 0
+// stamped at time 0, which is what a dense filter holds there, so every
+// estimate equals the dense one's.
 type DecayingBloomFilter struct {
-	chunks []*[bloomChunk]bloomCell // nil until the chunk's first Add
-	cells  int
-	hashes int
+	written map[int]bloomCell
+	cells   int
+	hashes  int
 	// beta is the per-time-unit decay factor.
 	beta float64
 	now  int64
 }
-
-// bloomChunk is the number of cells allocated together.
-const bloomChunk = 64
 
 type bloomCell struct {
 	v     float64
@@ -39,10 +36,10 @@ func NewDecayingBloomFilter(cells, hashes int, halfLife float64) *DecayingBloomF
 		panic("apps: bloom filter needs positive cells and hashes")
 	}
 	return &DecayingBloomFilter{
-		chunks: make([]*[bloomChunk]bloomCell, (cells+bloomChunk-1)/bloomChunk),
-		cells:  cells,
-		hashes: hashes,
-		beta:   math.Exp(-math.Ln2 / halfLife),
+		written: make(map[int]bloomCell),
+		cells:   cells,
+		hashes:  hashes,
+		beta:    math.Exp(-math.Ln2 / halfLife),
 	}
 }
 
@@ -55,10 +52,7 @@ func (f *DecayingBloomFilter) idx(key string, i int) int {
 
 // decayed returns cell c's value at the current time.
 func (f *DecayingBloomFilter) decayed(c int) float64 {
-	var cell bloomCell
-	if ch := f.chunks[c/bloomChunk]; ch != nil {
-		cell = ch[c%bloomChunk]
-	}
+	cell := f.written[c]
 	dt := f.now - cell.stamp
 	if dt <= 0 {
 		return cell.v
@@ -77,13 +71,7 @@ func (f *DecayingBloomFilter) Advance(now int64) {
 func (f *DecayingBloomFilter) Add(key string, weight float64) {
 	for i := 0; i < f.hashes; i++ {
 		c := f.idx(key, i)
-		v := f.decayed(c) + weight
-		ch := f.chunks[c/bloomChunk]
-		if ch == nil {
-			ch = new([bloomChunk]bloomCell)
-			f.chunks[c/bloomChunk] = ch
-		}
-		ch[c%bloomChunk] = bloomCell{v: v, stamp: f.now}
+		f.written[c] = bloomCell{v: f.decayed(c) + weight, stamp: f.now}
 	}
 }
 

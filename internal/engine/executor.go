@@ -16,9 +16,9 @@ import (
 // countdown, checkpoint barriers, flush and end of stream. A runtime
 // supplies a driver behind two seams:
 //
-//   - a transport moves messages and keeps the runtime's time: the
-//     simulated queue under sim.Scheduler blocking (runtime_sim.go), or
-//     the SPSC/MPSC rings with slab recycling and parking
+//   - a transport moves messages, recycles their batch slabs and keeps
+//     the runtime's time: the simulated queue under sim.Scheduler
+//     blocking (runtime_sim.go), or the SPSC/MPSC rings with parking
 //     (runtime_native.go);
 //   - a cost hook charges the work: hw.Machine cycles plus the tracer in
 //     the simulator, nothing natively.
@@ -27,11 +27,12 @@ import (
 // producer executor on one stream, an end-of-stream marker or a checkpoint
 // barrier.
 //
-// On the native runtime the Batch slab is recycled: after the consumer
-// processes a batch it clears the slab and returns it to the producer over
-// a free-list ring, so steady-state transfer allocates nothing. A consumer
-// must therefore never retain Batch (or a sub-slice of it) past the
-// invocation that processed it.
+// On both runtimes the Batch slab is recycled: after the consumer
+// processes a batch it clears the slab and returns it, natively to the
+// producer over a free-list ring, in the simulator to the run's free list,
+// so steady-state transfer allocates nothing. A consumer must therefore
+// never retain Batch (or a sub-slice of it) past the invocation that
+// processed it.
 type Msg struct {
 	// FromGlobal is the producing executor's global index.
 	FromGlobal int

@@ -163,6 +163,13 @@ type simRuntime struct {
 
 	// tr mirrors cfg.Trace for the executors' nil-guarded trace hooks.
 	tr *trace.Tracer
+
+	// slabs is the run's free list of cleared batch slabs: a consumer
+	// returns each data batch once it has handled it, and slab hands it
+	// out again, so a run allocates only as many slabs as it ever has in
+	// flight. slabsMade counts the slabs put into circulation.
+	slabs     [][]Tuple
+	slabsMade int
 }
 
 // noteDelivery records one successfully enqueued message on the edge
@@ -446,8 +453,22 @@ func (d *simDriver) now() int64 { return int64(d.nowCycles()) }
 //dsp:hotpath
 func (d *simDriver) stamp() int64 { return int64(d.nowCycles()) }
 
+// slab hands out the most recently returned batch slab. With none on the
+// free list it hands out nil, and the first append allocates the slab.
+//
 //dsp:hotpath
-func (d *simDriver) slab(int) []Tuple { return nil }
+func (d *simDriver) slab(int) []Tuple {
+	rt := d.rt
+	n := len(rt.slabs)
+	if n == 0 {
+		rt.slabsMade++
+		return nil
+	}
+	s := rt.slabs[n-1]
+	rt.slabs[n-1] = nil
+	rt.slabs = rt.slabs[:n-1]
+	return s
+}
 
 //dsp:hotpath
 func (d *simDriver) send(to int, m Msg) {
@@ -500,6 +521,12 @@ func (d *simDriver) Step(quantum sim.Cycles) (sim.Cycles, sim.Disposition) {
 				}
 				d.procCycles += d.consumed - start
 				d.lastTuple = d.nowCycles()
+			}
+			if msg.Batch != nil {
+				// The operator got its tuples by value, so the slab can go
+				// back to the run's free list.
+				clear(msg.Batch)
+				d.rt.slabs = append(d.rt.slabs, msg.Batch[:0])
 			}
 		}
 		if !d.flushPending() {
@@ -813,9 +840,16 @@ func (d *simDriver) beginFinish() (sim.Cycles, sim.Disposition) {
 // scheduler. The ring buffer itself occupies simulated memory (on the
 // consumer's socket, like a Storm disruptor queue owned by its executor),
 // so push/pop traffic participates in the cache and NUMA model.
+//
+// The simulated ring always has capacity slots, and slot numbers follow it.
+// The Go storage holding the queued messages is a ring of its own that
+// doubles when full, so a queue costs host memory in proportion to the
+// most messages it ever held at once, not to its capacity.
 type simQueue struct {
-	buf       []Msg
-	head, n   int
+	capacity  int
+	head, n   int   // the simulated ring: the oldest message's slot and the count
+	buf       []Msg // storage: the queued messages from buf[off], wrapping
+	off       int
 	baseAddr  uint64
 	slotBytes int
 
@@ -826,7 +860,7 @@ type simQueue struct {
 
 func newSimQueue(capacity int, base uint64, sched *sim.Scheduler) *simQueue {
 	return &simQueue{
-		buf:       make([]Msg, capacity),
+		capacity:  capacity,
 		baseAddr:  base,
 		slotBytes: 32, // a tuple-batch reference + sequence bookkeeping
 		sched:     sched,
@@ -841,11 +875,14 @@ func (q *simQueue) slotAddr(i int) uint64 {
 // tryPush appends a message. On success it returns the written slot index
 // and wakes a waiting consumer; on a full queue it returns ok=false.
 func (q *simQueue) tryPush(m Msg) (slot int, ok bool) {
-	if q.n == len(q.buf) {
+	if q.n == q.capacity {
 		return 0, false
 	}
-	slot = (q.head + q.n) % len(q.buf)
-	q.buf[slot] = m
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.off+q.n)%len(q.buf)] = m
+	slot = (q.head + q.n) % q.capacity
 	q.n++
 	if q.waitData != nil {
 		w := q.waitData
@@ -855,16 +892,25 @@ func (q *simQueue) tryPush(m Msg) (slot int, ok bool) {
 	return slot, true
 }
 
+// grow doubles the full storage ring (to at most capacity), unwrapping the
+// queued messages to its start.
+func (q *simQueue) grow() {
+	buf := make([]Msg, min(max(2*len(q.buf), 8), q.capacity))
+	n := copy(buf, q.buf[q.off:])
+	copy(buf[n:], q.buf[:q.off])
+	q.buf, q.off = buf, 0
+}
+
 // tryPop removes the oldest message. On success it wakes writers blocked on
 // a full ring.
 func (q *simQueue) tryPop() (m Msg, slot int, ok bool) {
 	if q.n == 0 {
 		return Msg{}, 0, false
 	}
-	slot = q.head
-	m = q.buf[slot]
-	q.buf[slot] = Msg{}
-	q.head = (q.head + 1) % len(q.buf)
+	m, slot = q.buf[q.off], q.head
+	q.buf[q.off] = Msg{}
+	q.off = (q.off + 1) % len(q.buf)
+	q.head = (q.head + 1) % q.capacity
 	q.n--
 	if len(q.waitSpace) > 0 {
 		ws := q.waitSpace

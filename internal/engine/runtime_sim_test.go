@@ -413,3 +413,60 @@ func TestSimExecutorProfileView(t *testing.T) {
 		}
 	}
 }
+
+// TestSimRecyclesEverySlab is the simulator's twin of
+// TestNativeConnsRecycleEverySlab. A wc/storm run at S=8 with 16-message
+// queues must end with every batch slab it allocated back on the run's
+// free list, cleared. The slabs it allocates are bounded by the messages
+// in flight, which the queues bound, and not by the messages delivered:
+// sixteen times the events deliver sixteen times the messages from a
+// quarter more slabs at most.
+func TestSimRecyclesEverySlab(t *testing.T) {
+	run := func(sentences int) (made int, msgs int64) {
+		topo := wcTopology(sentences, func() Operator { return ProcessFunc(func(Context, Tuple) {}) })
+		cfg := SimConfig{System: Storm(), BatchSize: 8, QueueCap: 16, Seed: 7}
+		cfg.fill()
+		xt, err := BuildExecTopology(topo, cfg.System)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := &simRuntime{cfg: cfg, topo: xt, machine: hw.AcquireMachine(cfg.Spec)}
+		defer hw.ReleaseMachine(rt.machine)
+		if err := rt.build(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := rt.run(topo.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rt.slabs) != rt.slabsMade {
+			t.Errorf("%d sentences: %d of %d slabs came back to the free list", sentences, len(rt.slabs), rt.slabsMade)
+		}
+		for _, s := range rt.slabs {
+			for _, tp := range s[:cap(s)] {
+				if len(s) != 0 || tp.Values != nil || tp.Root != 0 || tp.Born != 0 {
+					t.Fatalf("%d sentences: a slab came back holding %d tuples or an uncleared one", sentences, len(s))
+				}
+			}
+		}
+		queues := 0
+		for _, d := range rt.drivers {
+			if d.in != nil {
+				queues++
+			}
+		}
+		if inFlight := 2 * queues * cfg.QueueCap; rt.slabsMade > inFlight {
+			t.Errorf("%d sentences: %d slabs, above twice the %d queue slots", sentences, rt.slabsMade, inFlight/2)
+		}
+		for _, e := range res.Edges {
+			msgs += e.Msgs
+		}
+		return rt.slabsMade, msgs
+	}
+	made, msgs := run(1000)
+	made16, msgs16 := run(16000)
+	t.Logf("%d slabs for %d messages; %d slabs for %d messages", made, msgs, made16, msgs16)
+	if made == 0 || msgs16 < 15*msgs || 4*made16 > 5*made {
+		t.Fatalf("%d slabs for %d messages grew to %d slabs for %d", made, msgs, made16, msgs16)
+	}
+}
