@@ -87,12 +87,16 @@ test -s "$BENCH_DIR/BENCH_native_wc_storm.json" || { echo "ci: missing BENCH_nat
 go test -run 'TestRingTransferZeroAllocs|TestRingMsgTransferZeroAllocs|TestNativePipelineAllocCeiling|TestDriverMethodsAreHotPath|TestSimCellAllocCeiling|TestMachineFootprint' -count=1 ./internal/ring/ ./internal/engine/ ./internal/bench/ ./internal/hw/
 # Fuzz stage: FuzzCacheMatchesReference holds hw.Cache to the tick-scan LRU
 # cache it replaced (internal/hw/cache_ref_test.go) on every hit, miss, way
-# index and counter, and FuzzBloomMatchesDense holds the sparse decaying
-# Bloom filter to a dense one on every estimate (internal/apps/bloom_test.go).
-# The test runs above replay their committed corpora (testdata/fuzz in each
-# package); this explores new inputs for a fixed time.
+# index and counter, FuzzBloomMatchesDense holds the sparse decaying Bloom
+# filter to a dense one on every estimate (internal/apps/bloom_test.go), and
+# FuzzHistogramGobDecode requires a decoded histogram, which the memo cache
+# reads from disk, to be an error or readable without a panic
+# (internal/metrics/gob_test.go). The test runs above replay their committed
+# corpora (testdata/fuzz in each package); this explores new inputs for a
+# fixed time.
 go test -run '^$' -fuzz '^FuzzCacheMatchesReference$' -fuzztime 20s ./internal/hw/
 go test -run '^$' -fuzz '^FuzzBloomMatchesDense$' -fuzztime 10s ./internal/apps/
+go test -run '^$' -fuzz '^FuzzHistogramGobDecode$' -fuzztime 10s ./internal/metrics/
 # Ring stress stage: the high-iteration SPSC/MPSC protocol hammer under the
 # race detector (skipped without DSP_STRESS so plain `go test ./...` stays
 # fast). Sequence checks catch lost/reordered items; -race catches the

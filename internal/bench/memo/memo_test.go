@@ -1,6 +1,8 @@
 package memo
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -163,6 +165,83 @@ func TestDiskRoundTripAndWarmLoad(t *testing.T) {
 	st := s.Stats()
 	if st.DiskHits != 1 || st.Runs != 0 {
 		t.Fatalf("stats = %+v, want DiskHits=1 Runs=0", st)
+	}
+}
+
+// wireHistogram gob-encodes as a metrics.Histogram whose wire state is the
+// gob encoding of w, whatever that state is.
+type wireHistogram struct {
+	w struct {
+		Bits, Base  int
+		Counts      []int64
+		Zero, Count int64
+		Sum, SumSq  float64
+		Min, Max    float64
+	}
+}
+
+func (h *wireHistogram) GobEncode() ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(h.w)
+	return buf.Bytes(), err
+}
+
+// TestDiskCorruptHistogramIsAMiss: a cache file whose result carries a
+// histogram no run produces (a precision of -5 or 70 bits, or a window
+// based at -2^40, each of which crashed its reader) counts one DiskErrors
+// and is simulated again, and the run's result replaces the file.
+func TestDiskCorruptHistogramIsAMiss(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		corrupt func(h *wireHistogram)
+	}{
+		{"bits -5", func(h *wireHistogram) { h.w.Bits = -5 }},
+		{"bits 70", func(h *wireHistogram) { h.w.Bits = 70 }},
+		{"base -2^40", func(h *wireHistogram) { h.w.Base = -1 << 40 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := New("fp-corrupt")
+			if _, err := s.AttachDisk(dir); err != nil {
+				t.Fatal(err)
+			}
+			lat := &wireHistogram{}
+			lat.w.Bits, lat.w.Base, lat.w.Counts, lat.w.Count = 8, 100, []int64{2, 1}, 3
+			c.corrupt(lat)
+			f, err := os.Create(cachePath(dir, s.Key("cell")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := gob.NewEncoder(f)
+			if err := enc.Encode(header{Fingerprint: s.Fingerprint(), Canonical: "cell"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := enc.Encode(struct {
+				App     string
+				Latency *wireHistogram
+			}{"wc", lat}); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			want := fakeResult("wc", 7)
+			got, err := s.Do("cell", func() (*engine.Result, error) { return want, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); got != want || st.Runs != 1 || st.DiskErrors != 1 || st.DiskHits != 0 {
+				t.Fatalf("stats = %+v, want one disk error and one run that served the result", st)
+			}
+			s.Reset()
+			if _, err := s.Do("cell", func() (*engine.Result, error) {
+				t.Fatal("the rewritten cache file was not served")
+				return nil, nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -200,7 +200,7 @@ func RunSim(t *Topology, cfg SimConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &simRuntime{cfg: cfg, topo: xt, machine: hw.AcquireMachine(cfg.Spec)}
+	rt := &simRuntime{cfg: cfg, topo: xt, machine: hw.AcquireMachine(cfg.Spec, len(cfg.EnabledCores()))}
 	defer hw.ReleaseMachine(rt.machine)
 	if err := rt.build(); err != nil {
 		return nil, err

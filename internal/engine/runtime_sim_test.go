@@ -430,7 +430,7 @@ func TestSimRecyclesEverySlab(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt := &simRuntime{cfg: cfg, topo: xt, machine: hw.AcquireMachine(cfg.Spec)}
+		rt := &simRuntime{cfg: cfg, topo: xt, machine: hw.AcquireMachine(cfg.Spec, len(cfg.EnabledCores()))}
 		defer hw.ReleaseMachine(rt.machine)
 		if err := rt.build(); err != nil {
 			t.Fatal(err)

@@ -13,10 +13,17 @@ import (
 // caches and TLBs, per-socket LLCs and DRAM channels, and QPI links.
 // A Machine is not safe for concurrent use; the discrete-event simulation
 // drives it from a single goroutine.
+//
+// A machine may be built for a slice of its cores only (AcquireMachine):
+// its first n cores, and the LLC of each socket one of them is on. The
+// charging methods reach only the calling core's state and its socket's
+// LLC, so a run on those cores cannot tell the slice from the whole
+// machine. DRAM channels and QPI links are built for every socket, because
+// the round-robin heap homes data on any socket.
 type Machine struct {
 	Spec    MachineSpec
-	cores   []*coreHW
-	sockets []*socketHW
+	cores   []*coreHW    // the built cores, 0 to len(cores)-1
+	sockets []*socketHW  // every socket; llc is nil until one of its cores is built
 	qpi     [][]*Channel // [from][to], nil on the diagonal
 
 	iBlockBytes int
@@ -201,10 +208,16 @@ type socketHW struct {
 	dram *Channel
 }
 
-// NewMachine builds the hardware state for spec.
+// NewMachine builds the hardware state for spec, every core of it.
 func NewMachine(spec MachineSpec) *Machine {
+	return buildMachine(spec, spec.TotalCores())
+}
+
+// buildMachine builds a machine for spec with its first n cores built.
+func buildMachine(spec MachineSpec, n int) *Machine {
 	m := &Machine{
 		Spec:        spec,
+		cores:       make([]*coreHW, 0, spec.TotalCores()),
 		iBlockBytes: spec.L1I.BlockBytes,
 		iBlockShift: uint(bits.TrailingZeros(uint(spec.L1I.BlockBytes))),
 		versions:    newLineVerTable(),
@@ -215,17 +228,35 @@ func NewMachine(spec MachineSpec) *Machine {
 	m.pageShift += 12
 
 	for sk := 0; sk < spec.Sockets; sk++ {
-		m.sockets = append(m.sockets, &socketHW{
-			id:   sk,
-			llc:  CacheFor(spec.LLC.CapacityBytes, spec.LLC.BlockBytes, spec.LLC.Assoc),
-			dram: NewChannel(spec.LocalBWBytesPerCycle),
-		})
+		m.sockets = append(m.sockets, &socketHW{id: sk, dram: NewChannel(spec.LocalBWBytesPerCycle)})
 	}
-	for c := 0; c < spec.TotalCores(); c++ {
+	m.qpi = make([][]*Channel, spec.Sockets)
+	for i := range m.qpi {
+		m.qpi[i] = make([]*Channel, spec.Sockets)
+		for j := range m.qpi[i] {
+			if i != j {
+				m.qpi[i][j] = NewChannel(spec.QPIBWBytesPerCycle)
+			}
+		}
+	}
+	m.build(n)
+	return m
+}
+
+// build builds the machine's cores up to core n-1 that it lacks, with the
+// LLCs of their sockets. A new core's state is empty, as a Reset leaves the
+// built ones, so the machine stays in its just-built state.
+func (m *Machine) build(n int) {
+	spec := &m.Spec
+	for c := len(m.cores); c < n; c++ {
+		s := m.sockets[c/spec.CoresPerSocket]
+		if s.llc == nil {
+			s.llc = CacheFor(spec.LLC.CapacityBytes, spec.LLC.BlockBytes, spec.LLC.Assoc)
+		}
 		l1i := CacheFor(spec.L1I.CapacityBytes, spec.L1I.BlockBytes, spec.L1I.Assoc)
 		m.cores = append(m.cores, &coreHW{
 			id:     c,
-			socket: c / spec.CoresPerSocket,
+			socket: s.id,
 			l1i:    l1i,
 			l1d:    CacheFor(spec.L1D.CapacityBytes, spec.L1D.BlockBytes, spec.L1D.Assoc),
 			l2:     CacheFor(spec.L2.CapacityBytes, spec.L2.BlockBytes, spec.L2.Assoc),
@@ -237,41 +268,35 @@ func NewMachine(spec MachineSpec) *Machine {
 			uop: newUopRing(spec.Decode.UopCacheBytes/spec.L1I.BlockBytes, l1i.Sets()*l1i.Assoc()),
 		})
 	}
-	m.qpi = make([][]*Channel, spec.Sockets)
-	for i := range m.qpi {
-		m.qpi[i] = make([]*Channel, spec.Sockets)
-		for j := range m.qpi[i] {
-			if i != j {
-				m.qpi[i][j] = NewChannel(spec.QPIBWBytesPerCycle)
-			}
-		}
-	}
-	return m
 }
 
 // machinePool is the free list AcquireMachine draws on: reset machines of
-// any spec, at most GOMAXPROCS of them, oldest first.
+// any spec and slice, at most GOMAXPROCS of them, oldest first.
 var machinePool struct {
 	sync.Mutex
 	free []*Machine
 }
 
-// AcquireMachine returns a machine for spec in its just-built state: a
-// released one when the free list holds one of that spec, else a new one.
-// A cell-sized run spends most of its set-up building a machine, so the
-// simulator reuses them.
-func AcquireMachine(spec MachineSpec) *Machine {
+// AcquireMachine returns a machine for spec in its just-built state with
+// at least its first cores cores built: a released one of that spec when
+// the free list holds one, with any of those cores it lacks built onto it,
+// else a new one built for those cores only. A cell-sized run spends most
+// of its set-up building a machine, so the simulator reuses them; and most
+// runs enable one socket or a few cores, whose slice of a Table III
+// machine is a quarter of it or less.
+func AcquireMachine(spec MachineSpec, cores int) *Machine {
 	p := &machinePool
 	p.Lock()
 	for i, m := range p.free {
 		if m.Spec == spec {
 			p.free = slices.Delete(p.free, i, i+1)
 			p.Unlock()
+			m.build(cores)
 			return m
 		}
 	}
 	p.Unlock()
-	return NewMachine(spec)
+	return buildMachine(spec, cores)
 }
 
 // ReleaseMachine resets m and puts it on the free list, dropping the
@@ -288,12 +313,13 @@ func ReleaseMachine(m *Machine) {
 	p.free = append(p.free, m)
 }
 
-// Reset returns the machine to its just-built state: every cache, TLB and
-// µop cache empty, no line written, idle channels, no footprint history, a
-// zero ledger and zero counts. Its cost is proportional to the state the
-// machine's runs touched since the last reset, not to its capacity: a cache
-// resets by starting a new generation, and clears each set on its first
-// probe after.
+// Reset returns the machine to its just-built state for the cores it has
+// built: every cache, TLB and µop cache empty, no line written, idle
+// channels, no footprint history, a zero ledger and zero counts. A reset
+// machine is indistinguishable from one built for the same cores. Its cost
+// is proportional to the state the machine's runs touched since the last
+// reset, not to its capacity: a cache resets by starting a new generation,
+// and clears each set on its first probe after.
 func (m *Machine) Reset() {
 	for _, c := range m.cores {
 		for _, cc := range []*Cache{c.l1i, c.l1d, c.l2, c.itlb, c.dtlb, c.stlb} {
@@ -306,7 +332,9 @@ func (m *Machine) Reset() {
 		c.seq, c.seen = 0, c.seen[:0]
 	}
 	for _, s := range m.sockets {
-		s.llc.Reset()
+		if s.llc != nil {
+			s.llc.Reset()
+		}
 		s.dram.Reset()
 	}
 	for _, row := range m.qpi {
@@ -635,7 +663,9 @@ func (m *Machine) Ops() Ops {
 		o.STLB.add(c.stlb.hits, c.stlb.misses)
 	}
 	for _, s := range m.sockets {
-		o.LLC.add(s.llc.hits, s.llc.misses)
+		if s.llc != nil {
+			o.LLC.add(s.llc.hits, s.llc.misses)
+		}
 	}
 	return o
 }

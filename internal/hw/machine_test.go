@@ -261,28 +261,51 @@ func TestDRAMUtilizationSelectsSockets(t *testing.T) {
 }
 
 // machineFootprintCeiling bounds the bytes NewMachine(TableIII()) allocates:
-// 1.2% above the 16,890,432 bytes measured (16,892,736 under -race). Its
+// 1.2% above the 16,890,184 bytes measured (16,892,488 under -race). Its
 // four 20-way LLCs are most of it, at 208 bytes per set; with a last-use
 // tick per way and an MRU hint per set, a machine took 37,127,648 bytes.
 const machineFootprintCeiling = 17_100_000
 
+// sliceFootprintCeiling bounds the bytes a Table III machine built for its
+// first socket's 8 cores allocates: 0.9% above the 4,273,408 bytes
+// measured (4,273,984 under -race). One LLC and 8 cores' private caches
+// are most of it; the other sockets' DRAM channels and QPI links are built
+// too.
+const sliceFootprintCeiling = 4_310_000
+
 // TestMachineFootprint measures the bytes (runtime.MemStats.TotalAlloc, GC
-// off) that building a Table III machine allocates. They must stay under
-// machineFootprintCeiling and above 90% of it, so that a cut has to lower
-// the ceiling with it.
+// off) that building a Table III machine allocates: whole, built for one
+// socket, and built for one socket and then for every core. Each must stay
+// under its ceiling and above 90% of it, so that a cut has to lower the
+// ceiling with it.
 func TestMachineFootprint(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m := NewMachine(TableIII())
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(m)
-	bytes := after.TotalAlloc - before.TotalAlloc
-	t.Logf("NewMachine(TableIII()) allocated %d bytes", bytes)
-	if bytes > machineFootprintCeiling {
-		t.Fatalf("NewMachine(TableIII()) allocated %d bytes, above the ceiling %d", bytes, machineFootprintCeiling)
-	}
-	if bytes < machineFootprintCeiling*9/10 {
-		t.Fatalf("NewMachine(TableIII()) allocated %d bytes, under 90%% of the ceiling %d: lower machineFootprintCeiling", bytes, machineFootprintCeiling)
+	spec := TableIII()
+	for _, c := range []struct {
+		what    string
+		build   func() *Machine
+		ceiling uint64
+	}{
+		{"NewMachine(TableIII())", func() *Machine { return NewMachine(spec) }, machineFootprintCeiling},
+		{"a one-socket Table III machine", func() *Machine { return buildMachine(spec, spec.CoresPerSocket) }, sliceFootprintCeiling},
+		{"a one-socket Table III machine built up to every core", func() *Machine {
+			m := buildMachine(spec, spec.CoresPerSocket)
+			m.build(spec.TotalCores())
+			return m
+		}, machineFootprintCeiling},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m := c.build()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(m)
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s allocated %d bytes", c.what, bytes)
+		if bytes > c.ceiling {
+			t.Fatalf("%s allocated %d bytes, above the ceiling %d", c.what, bytes, c.ceiling)
+		}
+		if bytes < c.ceiling*9/10 {
+			t.Fatalf("%s allocated %d bytes, under 90%% of the ceiling %d: lower the ceiling", c.what, bytes, c.ceiling)
+		}
 	}
 }

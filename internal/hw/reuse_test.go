@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -83,14 +84,13 @@ type machineTrace struct {
 	charged    sim.Cycles
 }
 
-// driveMachine issues n random calls of every charging method across cores
-// and sockets: data reads and writes over a few MB per socket, code fetches
-// of regions up to 40 KB (past L1I) with their invocations noted, streaming
-// sweeps, compute, and occasional clock jumps past the channels' retained
-// window history.
-func driveMachine(m *Machine, seed int64, n int) machineTrace {
+// driveMachine issues n random calls of every charging method across the
+// machine's first cores cores: data reads and writes over a few MB of every
+// socket's memory, code fetches of regions up to 40 KB (past L1I) with
+// their invocations noted, streaming sweeps, compute, and occasional clock
+// jumps past the channels' retained window history.
+func driveMachine(m *Machine, cores int, seed int64, n int) machineTrace {
 	rng := rand.New(rand.NewSource(seed))
-	cores := m.Spec.TotalCores()
 	var tr machineTrace
 	now := sim.Cycles(0)
 	for i := 0; i < n; i++ {
@@ -130,34 +130,49 @@ func driveMachine(m *Machine, seed int64, n int) machineTrace {
 // TestMachineResetMatchesFresh: a machine that ran an unrelated workload
 // over the same addresses and was then reset answers every call of a
 // random workload exactly as a new machine does, with the same operation
-// counts and ledger — twice over, and through the free list too.
+// counts and ledger — twice over, and through the free list too. So does a
+// machine built for one socket, driven on it, reset and then built for its
+// other cores.
 func TestMachineResetMatchesFresh(t *testing.T) {
 	spec := testSpec()
+	all := spec.TotalCores()
 	reused := NewMachine(spec)
-	driveMachine(reused, 1, 20000)
+	driveMachine(reused, all, 1, 20000)
 	reused.Reset()
+	slice := buildMachine(spec, spec.CoresPerSocket)
+	driveMachine(slice, spec.CoresPerSocket, 1, 20000)
+	slice.Reset()
+	slice.build(all)
 	for _, seed := range []int64{2, 3} {
-		want := driveMachine(NewMachine(spec), seed, 20000)
-		got := driveMachine(reused, seed, 20000)
-		if !slices.Equal(want.cycles, got.cycles) {
-			t.Fatalf("seed %d: cycle counts differ from a fresh machine's", seed)
-		}
-		if !slices.Equal(want.costs, got.costs) {
-			t.Fatalf("seed %d: cost vectors differ from a fresh machine's", seed)
-		}
-		if !slices.Equal(want.footprints, got.footprints) {
-			t.Fatalf("seed %d: instruction footprints differ from a fresh machine's", seed)
-		}
-		if want.ops != got.ops || want.charged != got.charged {
-			t.Fatalf("seed %d: ops %+v charged %d, fresh machine %+v %d", seed, got.ops, got.charged, want.ops, want.charged)
-		}
+		want := driveMachine(NewMachine(spec), all, seed, 20000)
 		if want.ops.Uop.Hits == 0 || want.ops.LLC.Hits == 0 || want.ops.STLB.Misses == 0 {
 			t.Fatalf("seed %d: the workload leaves a level idle: %+v", seed, want.ops)
 		}
+		sameTrace(t, fmt.Sprintf("seed %d, reset machine", seed), want, driveMachine(reused, all, seed, 20000))
+		if seed == 2 {
+			sameTrace(t, "seed 2, one-socket machine built up", want, driveMachine(slice, all, seed, 20000))
+		}
 		ReleaseMachine(reused)
-		if reused = AcquireMachine(spec); reused.ChargedCycles() != 0 || reused.Ops() != (Ops{}) {
+		if reused = AcquireMachine(spec, all); reused.ChargedCycles() != 0 || reused.Ops() != (Ops{}) {
 			t.Fatalf("a released machine came back with ledger %d and ops %+v", reused.ChargedCycles(), reused.Ops())
 		}
+	}
+}
+
+// sameTrace fails the test unless got answered every call as want did.
+func sameTrace(t *testing.T, what string, want, got machineTrace) {
+	t.Helper()
+	if !slices.Equal(want.cycles, got.cycles) {
+		t.Fatalf("%s: cycle counts differ from a fresh machine's", what)
+	}
+	if !slices.Equal(want.costs, got.costs) {
+		t.Fatalf("%s: cost vectors differ from a fresh machine's", what)
+	}
+	if !slices.Equal(want.footprints, got.footprints) {
+		t.Fatalf("%s: instruction footprints differ from a fresh machine's", what)
+	}
+	if want.ops != got.ops || want.charged != got.charged {
+		t.Fatalf("%s: ops %+v charged %d, fresh machine %+v %d", what, got.ops, got.charged, want.ops, want.charged)
 	}
 }
 
