@@ -48,9 +48,16 @@ trap 'rm -rf "$BENCH_DIR"' EXIT
 # Report stage: a cold full report (no -cache, default -jobs) must print
 # exactly the committed report_output.txt. The report is deterministic at
 # any worker count, so any difference is a changed result: regenerate and
-# commit report_output.txt with the change that moved it.
-go run ./cmd/dspreport -quiet > "$BENCH_DIR/report.txt"
+# commit report_output.txt with the change that moved it. Its stderr must
+# also count exactly the simulations the memo runs and the requests it
+# dedupes, so a memo key that collapses fewer cells or more cells than
+# before fails here even when the tables hold. (No -quiet: that would drop
+# the count line, and the progress line prints only on a terminal.) A
+# change that moves these counts updates this line together with
+# report_output.txt.
+go run ./cmd/dspreport > "$BENCH_DIR/report.txt" 2> "$BENCH_DIR/report.err"
 diff -u report_output.txt "$BENCH_DIR/report.txt" || { echo "ci: dspreport output differs from report_output.txt" >&2; exit 1; }
+grep -q '326 simulated, 327 deduped, 0 from cache' "$BENCH_DIR/report.err" || { echo "ci: dspreport memo counts moved:" >&2; cat "$BENCH_DIR/report.err" >&2; exit 1; }
 go build -o "$BENCH_DIR/dspbench" ./cmd/dspbench
 (cd "$BENCH_DIR" && ./dspbench -app wc -system storm -batch 8 -quiet -json >/dev/null)
 (cd "$BENCH_DIR" && ./dspbench -app lr -system flink -batch 8 -quiet -json >/dev/null)

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 
@@ -60,6 +61,9 @@ func main() {
 		traceQ   = flag.Int64("trace-cadence", int64(trace.DefaultQueueCadence), "with -trace: queue-depth sampling period in cycles (<0 disables)")
 	)
 	flag.Parse()
+	if math.IsInf(*rate, 0) || math.IsNaN(*rate) {
+		fail(fmt.Errorf("-rate must be a finite number, got %v", *rate))
+	}
 	bench.SetJobs(*jobs)
 	if *quiet {
 		bench.SetProgress(false)
@@ -139,9 +143,7 @@ func main() {
 			fail(err)
 			sys, err := bench.SystemProfile(*system)
 			fail(err)
-			plans, err := place.PlanFor(topo, sys, *sockets, place.PlaceOptions{
-				CoresPerSocket: 8, Oversubscribe: 1.5, Balanced: true,
-			})
+			plans, err := place.PlanFor(topo, sys, *sockets, place.PlaceOptions{Balanced: true})
 			fail(err)
 			best := plans[len(plans)-1] // largest k among feasible balanced plans
 			cell.Placement = best.Placement()

@@ -62,9 +62,7 @@ func main() {
 		if balanced {
 			mode = "balanced"
 		}
-		plans, err := place.Plans(g, *sockets, place.PlaceOptions{
-			CoresPerSocket: 8, Oversubscribe: 1.5, Balanced: balanced,
-		})
+		plans, err := place.Plans(g, *sockets, place.PlaceOptions{Balanced: balanced})
 		if err != nil {
 			fmt.Printf("  %s: %v\n", mode, err)
 			continue

@@ -149,9 +149,7 @@ func main() {
 	})
 
 	// 3. NUMA-aware placement from the communication graph.
-	plans, err := place.PlanFor(buildApp(5000), engine.Storm(), 4, place.PlaceOptions{
-		CoresPerSocket: 8, Oversubscribe: 1.5, Balanced: true,
-	})
+	plans, err := place.PlanFor(buildApp(5000), engine.Storm(), 4, place.PlaceOptions{Balanced: true})
 	if err != nil {
 		panic(err)
 	}

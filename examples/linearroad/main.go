@@ -48,9 +48,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	plans, err := place.PlanFor(topo, engine.Storm(), 4, place.PlaceOptions{
-		CoresPerSocket: 8, Oversubscribe: 1.5, Balanced: true,
-	})
+	plans, err := place.PlanFor(topo, engine.Storm(), 4, place.PlaceOptions{Balanced: true})
 	if err != nil {
 		panic(err)
 	}

@@ -99,7 +99,7 @@ func main() {
 	base := measure("os-spread", nil)
 	rr := place.RoundRobinPlan(g, 4)
 	measure("round-robin", rr.Placement())
-	plans, err := place.Plans(g, 4, place.PlaceOptions{CoresPerSocket: 8, Oversubscribe: 1.5, Balanced: true})
+	plans, err := place.Plans(g, 4, place.PlaceOptions{Balanced: true})
 	if err != nil {
 		panic(err)
 	}

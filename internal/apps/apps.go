@@ -29,7 +29,9 @@ type Config struct {
 	Scale int
 }
 
-func (c Config) fill() Config {
+// Resolve returns the configuration an app is built with: a non-positive
+// Events means 5000 and a non-positive Scale means 1.
+func (c Config) Resolve() Config {
 	if c.Events <= 0 {
 		c.Events = 5000
 	}
@@ -78,6 +80,37 @@ func Build(name string, cfg Config) (*engine.Topology, error) {
 		return nil, fmt.Errorf("apps: unknown application %q (have %v)", name, Names())
 	}
 	return b(cfg), nil
+}
+
+// countedSource is every app's source: it emits one record per Next until
+// it has emitted n. Prepare seeds the app's generator with the app seed
+// plus the executor's ID, through build, which returns the function that
+// emits one record.
+type countedSource struct {
+	n     int
+	seed  int64
+	build func(seed int64) func(engine.Context)
+	emit  func(engine.Context)
+}
+
+// counted returns the factory of a source that emits cfg.Events records.
+func counted(cfg Config, build func(seed int64) func(engine.Context)) func() engine.Source {
+	return func() engine.Source {
+		return &countedSource{n: cfg.Events, seed: cfg.Seed, build: build}
+	}
+}
+
+func (s *countedSource) Prepare(ctx engine.Context) {
+	s.emit = s.build(s.seed + int64(ctx.ExecutorID()))
+}
+
+func (s *countedSource) Next(ctx engine.Context) bool {
+	if s.n <= 0 {
+		return false
+	}
+	s.n--
+	s.emit(ctx)
+	return s.n > 0
 }
 
 // nopSink returns a sink operator factory (the paper measures throughput

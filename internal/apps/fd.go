@@ -18,12 +18,16 @@ const (
 // (fields customer) -> sink. The predict operator runs the missProbability
 // outlier detector over per-customer state-transition sequences.
 func FraudDetection(cfg Config) *engine.Topology {
-	cfg = cfg.fill()
+	cfg = cfg.Resolve()
 	t := engine.NewTopology("fd")
 
-	t.AddSource("source", 1, func() engine.Source {
-		return &txnSource{n: cfg.Events, seed: cfg.Seed}
-	}, engine.Stream(engine.DefaultStream, "customer", "trans", "type")).
+	t.AddSource("source", 1, counted(cfg, func(seed int64) func(engine.Context) {
+		g := gen.NewTransactionGen(seed, fdCustomers, fdFraudPct)
+		return func(ctx engine.Context) {
+			tx := g.Next()
+			ctx.Emit(tx.CustomerID, tx.TransID, tx.Type)
+		}
+	}), engine.Stream(engine.DefaultStream, "customer", "trans", "type")).
 		WithProfile(engine.WorkProfile{
 			CodeBytes:        7 << 10,
 			UopsPerTuple:     350,
@@ -49,26 +53,6 @@ func FraudDetection(cfg Config) *engine.Topology {
 		SubDefault("predict", engine.Global()).
 		WithProfile(sinkProfile())
 	return t
-}
-
-type txnSource struct {
-	n    int
-	seed int64
-	g    *gen.TransactionGen
-}
-
-func (s *txnSource) Prepare(ctx engine.Context) {
-	s.g = gen.NewTransactionGen(s.seed+int64(ctx.ExecutorID()), fdCustomers, fdFraudPct)
-}
-
-func (s *txnSource) Next(ctx engine.Context) bool {
-	if s.n <= 0 {
-		return false
-	}
-	s.n--
-	tx := s.g.Next()
-	ctx.Emit(tx.CustomerID, tx.TransID, tx.Type)
-	return s.n > 0
 }
 
 // predictOp implements the missProbability detector: it learns a global

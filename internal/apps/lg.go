@@ -18,12 +18,16 @@ const (
 // three analysis chains — geo finding (-> geo stats -> sink), status-code
 // statistics (-> sink), and per-minute volume counting (-> sink).
 func LogProcessing(cfg Config) *engine.Topology {
-	cfg = cfg.fill()
+	cfg = cfg.Resolve()
 	t := engine.NewTopology("lg")
 
-	t.AddSource("source", 1, func() engine.Source {
-		return &weblogSource{n: cfg.Events, seed: cfg.Seed}
-	}, engine.Stream(engine.DefaultStream, "ip", "ts", "url", "status", "bytes")).
+	t.AddSource("source", 1, counted(cfg, func(seed int64) func(engine.Context) {
+		g := gen.NewWeblogGen(seed, lgClients, lgURLs)
+		return func(ctx engine.Context) {
+			r := g.Next()
+			ctx.Emit(r.IP, r.Timestamp, r.URL, r.Status, r.Bytes)
+		}
+	}), engine.Stream(engine.DefaultStream, "ip", "ts", "url", "status", "bytes")).
 		WithProfile(engine.WorkProfile{
 			CodeBytes:        8 << 10,
 			UopsPerTuple:     420,
@@ -91,26 +95,6 @@ func LogProcessing(cfg Config) *engine.Topology {
 	t.AddOp("count-sink", cfg.par(1), nopSink).
 		SubDefault("volume-counter", engine.Global()).WithProfile(sinkProfile())
 	return t
-}
-
-type weblogSource struct {
-	n    int
-	seed int64
-	g    *gen.WeblogGen
-}
-
-func (s *weblogSource) Prepare(ctx engine.Context) {
-	s.g = gen.NewWeblogGen(s.seed+int64(ctx.ExecutorID()), lgClients, lgURLs)
-}
-
-func (s *weblogSource) Next(ctx engine.Context) bool {
-	if s.n <= 0 {
-		return false
-	}
-	s.n--
-	r := s.g.Next()
-	ctx.Emit(r.IP, r.Timestamp, r.URL, r.Status, r.Bytes)
-	return s.n > 0
 }
 
 // geoFinderOp maps an IP to a (country, city) via a deterministic prefix

@@ -27,15 +27,19 @@ func lrSegKey(xway, dir, seg int) int { return (xway*2+dir)*1000 + seg }
 // a toll notifier, account-balance and daily-expenditure answerers, and an
 // accident notifier, all draining into one sink.
 func LinearRoad(cfg Config) *engine.Topology {
-	cfg = cfg.fill()
+	cfg = cfg.Resolve()
 	t := engine.NewTopology("lr")
 	lrCfg := gen.DefaultLRConfig()
 
 	posFields := []string{"vid", "speed", "xway", "dir", "seg", "segkey", "pos", "time"}
 
-	t.AddSource("source", 1, func() engine.Source {
-		return &lrSource{n: cfg.Events, seed: cfg.Seed, cfg: lrCfg}
-	}, engine.Stream(engine.DefaultStream, "type", "time", "vid", "speed", "xway", "lane", "dir", "seg", "pos", "qid", "day")).
+	t.AddSource("source", 1, counted(cfg, func(seed int64) func(engine.Context) {
+		g := gen.NewLRGen(seed, lrCfg)
+		return func(ctx engine.Context) {
+			r := g.Next()
+			ctx.Emit(r.Type, r.Time, r.VID, r.Speed, r.XWay, r.Lane, r.Dir, r.Seg, r.Pos, r.QID, r.Day)
+		}
+	}), engine.Stream(engine.DefaultStream, "type", "time", "vid", "speed", "xway", "lane", "dir", "seg", "pos", "qid", "day")).
 		WithProfile(engine.WorkProfile{
 			CodeBytes:        9 << 10,
 			UopsPerTuple:     480,
@@ -176,27 +180,6 @@ func LinearRoad(cfg Config) *engine.Topology {
 	sink.SubDefault("account-balance", engine.Global())
 	sink.SubDefault("daily-expenses", engine.Global())
 	return t
-}
-
-type lrSource struct {
-	n    int
-	seed int64
-	cfg  gen.LRConfig
-	g    *gen.LRGen
-}
-
-func (s *lrSource) Prepare(ctx engine.Context) {
-	s.g = gen.NewLRGen(s.seed+int64(ctx.ExecutorID()), s.cfg)
-}
-
-func (s *lrSource) Next(ctx engine.Context) bool {
-	if s.n <= 0 {
-		return false
-	}
-	s.n--
-	r := s.g.Next()
-	ctx.Emit(r.Type, r.Time, r.VID, r.Speed, r.XWay, r.Lane, r.Dir, r.Seg, r.Pos, r.QID, r.Day)
-	return s.n > 0
 }
 
 // lrDispatch routes input records by type.

@@ -6,12 +6,16 @@ import "streamscale/internal/engine"
 // that performs nothing, isolating the platform's own instruction footprint
 // in the Figure 9 CDF.
 func Null(cfg Config) *engine.Topology {
-	cfg = cfg.fill()
+	cfg = cfg.Resolve()
 	t := engine.NewTopology("null")
 
-	t.AddSource("source", 1, func() engine.Source {
-		return &nullSource{n: cfg.Events}
-	}, engine.Stream(engine.DefaultStream, "v")).
+	t.AddSource("source", 1, counted(cfg, func(int64) func(engine.Context) {
+		n := cfg.Events
+		return func(ctx engine.Context) {
+			n--
+			ctx.Emit(n)
+		}
+	}), engine.Stream(engine.DefaultStream, "v")).
 		WithProfile(engine.WorkProfile{
 			CodeBytes:        6 << 10,
 			UopsPerTuple:     60,
@@ -29,16 +33,4 @@ func Null(cfg Config) *engine.Topology {
 			BranchesPerTuple: 1,
 		})
 	return t
-}
-
-type nullSource struct{ n int }
-
-func (s *nullSource) Prepare(engine.Context) {}
-func (s *nullSource) Next(ctx engine.Context) bool {
-	if s.n <= 0 {
-		return false
-	}
-	s.n--
-	ctx.Emit(s.n)
-	return s.n > 0
 }

@@ -18,12 +18,16 @@ const (
 // SpikeDetection builds the SD topology (Fig 5c): source -> moving-average
 // (fields mote) -> spike-detection (shuffle) -> sink.
 func SpikeDetection(cfg Config) *engine.Topology {
-	cfg = cfg.fill()
+	cfg = cfg.Resolve()
 	t := engine.NewTopology("sd")
 
-	t.AddSource("source", 1, func() engine.Source {
-		return &sensorSource{n: cfg.Events, seed: cfg.Seed}
-	}, engine.Stream(engine.DefaultStream, "mote", "ts", "temp")).
+	t.AddSource("source", 1, counted(cfg, func(seed int64) func(engine.Context) {
+		g := gen.NewSensorGen(seed, sdMotes, sdSpikePct)
+		return func(ctx engine.Context) {
+			r := g.Next()
+			ctx.Emit(r.MoteID, r.Timestamp, r.Temperature)
+		}
+	}), engine.Stream(engine.DefaultStream, "mote", "ts", "temp")).
 		WithProfile(engine.WorkProfile{
 			CodeBytes:        6 << 10,
 			UopsPerTuple:     300,
@@ -61,26 +65,6 @@ func SpikeDetection(cfg Config) *engine.Topology {
 		SubDefault("spike-detection", engine.Global()).
 		WithProfile(sinkProfile())
 	return t
-}
-
-type sensorSource struct {
-	n    int
-	seed int64
-	g    *gen.SensorGen
-}
-
-func (s *sensorSource) Prepare(ctx engine.Context) {
-	s.g = gen.NewSensorGen(s.seed+int64(ctx.ExecutorID()), sdMotes, sdSpikePct)
-}
-
-func (s *sensorSource) Next(ctx engine.Context) bool {
-	if s.n <= 0 {
-		return false
-	}
-	s.n--
-	r := s.g.Next()
-	ctx.Emit(r.MoteID, r.Timestamp, r.Temperature)
-	return s.n > 0
 }
 
 // movingAvgOp keeps a per-mote sliding window and emits each value with

@@ -32,13 +32,17 @@ const (
 // TrafficMonitoring builds the TM topology (Fig 5d): source -> map-match
 // (shuffle) -> speed-calculate (fields road) -> sink.
 func TrafficMonitoring(cfg Config) *engine.Topology {
-	cfg = cfg.fill()
+	cfg = cfg.Resolve()
 	t := engine.NewTopology("tm")
 	grid := gen.NewRoadGrid(tmGridRows, tmGridCols)
 
-	t.AddSource("source", 1, func() engine.Source {
-		return &gpsSource{n: cfg.Events, seed: cfg.Seed, grid: grid}
-	}, engine.Stream(engine.DefaultStream, "vehicle", "lat", "lon", "speed", "ts")).
+	t.AddSource("source", 1, counted(cfg, func(seed int64) func(engine.Context) {
+		g := gen.NewGPSGen(seed, grid, tmVehicles)
+		return func(ctx engine.Context) {
+			p := g.Next()
+			ctx.Emit(p.VehicleID, p.Lat, p.Lon, p.Speed, p.Timestamp)
+		}
+	}), engine.Stream(engine.DefaultStream, "vehicle", "lat", "lon", "speed", "ts")).
 		WithProfile(engine.WorkProfile{
 			CodeBytes:        7 << 10,
 			UopsPerTuple:     380,
@@ -77,27 +81,6 @@ func TrafficMonitoring(cfg Config) *engine.Topology {
 		SubDefault("speed-calculate", engine.Global()).
 		WithProfile(sinkProfile())
 	return t
-}
-
-type gpsSource struct {
-	n    int
-	seed int64
-	grid *gen.RoadGrid
-	g    *gen.GPSGen
-}
-
-func (s *gpsSource) Prepare(ctx engine.Context) {
-	s.g = gen.NewGPSGen(s.seed+int64(ctx.ExecutorID()), s.grid, tmVehicles)
-}
-
-func (s *gpsSource) Next(ctx engine.Context) bool {
-	if s.n <= 0 {
-		return false
-	}
-	s.n--
-	p := s.g.Next()
-	ctx.Emit(p.VehicleID, p.Lat, p.Lon, p.Speed, p.Timestamp)
-	return s.n > 0
 }
 
 // mapMatchOp matches a GPS point to its road. The functional answer uses

@@ -25,7 +25,7 @@ const (
 // CT24, ECR24, ACD, GlobalACD, URL), a fusion module (FoFIR), a Score
 // operator combining module outputs, and a sink.
 func VoIPSpam(cfg Config) *engine.Topology {
-	cfg = cfg.fill()
+	cfg = cfg.Resolve()
 	t := engine.NewTopology("vs")
 
 	bloomProfile := func(codeKB int) engine.WorkProfile {
@@ -40,9 +40,13 @@ func VoIPSpam(cfg Config) *engine.Topology {
 		}
 	}
 
-	t.AddSource("source", 1, func() engine.Source {
-		return &cdrSource{n: cfg.Events, seed: cfg.Seed}
-	}, engine.Stream(engine.DefaultStream, "calling", "called", "ts", "dur", "established")).
+	t.AddSource("source", 1, counted(cfg, func(seed int64) func(engine.Context) {
+		g := gen.NewCDRGen(seed, vsSubscribers, vsSpammers)
+		return func(ctx engine.Context) {
+			c := g.Next()
+			ctx.Emit(c.Calling, c.Called, c.Date, c.Duration, c.Established)
+		}
+	}), engine.Stream(engine.DefaultStream, "calling", "called", "ts", "dur", "established")).
 		WithProfile(engine.WorkProfile{
 			CodeBytes:        8 << 10,
 			UopsPerTuple:     420,
@@ -134,26 +138,6 @@ func VoIPSpam(cfg Config) *engine.Topology {
 		SubDefault("score", engine.Global()).
 		WithProfile(sinkProfile())
 	return t
-}
-
-type cdrSource struct {
-	n    int
-	seed int64
-	g    *gen.CDRGen
-}
-
-func (s *cdrSource) Prepare(ctx engine.Context) {
-	s.g = gen.NewCDRGen(s.seed+int64(ctx.ExecutorID()), vsSubscribers, vsSpammers)
-}
-
-func (s *cdrSource) Next(ctx engine.Context) bool {
-	if s.n <= 0 {
-		return false
-	}
-	s.n--
-	c := s.g.Next()
-	ctx.Emit(c.Calling, c.Called, c.Date, c.Duration, c.Established)
-	return s.n > 0
 }
 
 // sigmoid squashes a rate into [0,1) with the given scale midpoint.

@@ -17,12 +17,13 @@ const (
 // WordCount builds the Stateful Word Count topology (Fig 5a):
 // source -> split (shuffle) -> count (fields word) -> sink (global).
 func WordCount(cfg Config) *engine.Topology {
-	cfg = cfg.fill()
+	cfg = cfg.Resolve()
 	t := engine.NewTopology("wc")
 
-	t.AddSource("source", 1, func() engine.Source {
-		return &sentenceSource{n: cfg.Events, seed: cfg.Seed}
-	}, engine.Stream(engine.DefaultStream, "sentence")).
+	t.AddSource("source", 1, counted(cfg, func(seed int64) func(engine.Context) {
+		g := gen.NewSentenceGen(seed, wcVocabulary, wcWordsPerSentence, 0)
+		return func(ctx engine.Context) { ctx.Emit(g.Next()) }
+	}), engine.Stream(engine.DefaultStream, "sentence")).
 		WithProfile(engine.WorkProfile{
 			CodeBytes:        8 << 10,
 			UopsPerTuple:     500,
@@ -63,25 +64,6 @@ func WordCount(cfg Config) *engine.Topology {
 	return t
 }
 
-type sentenceSource struct {
-	n    int
-	seed int64
-	g    *gen.SentenceGen
-}
-
-func (s *sentenceSource) Prepare(ctx engine.Context) {
-	s.g = gen.NewSentenceGen(s.seed+int64(ctx.ExecutorID()), wcVocabulary, wcWordsPerSentence, 0)
-}
-
-func (s *sentenceSource) Next(ctx engine.Context) bool {
-	if s.n <= 0 {
-		return false
-	}
-	s.n--
-	ctx.Emit(s.g.Next())
-	return s.n > 0
-}
-
 // splitOp parses sentences into words.
 type splitOp struct{}
 
@@ -119,7 +101,7 @@ func (c *countOp) Process(ctx engine.Context, t engine.Tuple) {
 // WCReferenceCounts computes expected word counts for a configuration —
 // the test oracle (single source executor).
 func WCReferenceCounts(cfg Config) map[string]int64 {
-	cfg = cfg.fill()
+	cfg = cfg.Resolve()
 	counts := map[string]int64{}
 	for ex := 0; ex < cfg.par(1); ex++ {
 		g := gen.NewSentenceGen(cfg.Seed+int64(ex), wcVocabulary, wcWordsPerSentence, 0)

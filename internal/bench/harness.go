@@ -128,26 +128,73 @@ func (c Cell) Events() int {
 	return ev
 }
 
+// seed returns the cell's seed: 0 means 1.
+func (c Cell) seed() int64 {
+	if c.Seed == 0 {
+		return 1
+	}
+	return c.Seed
+}
+
+// appConfig returns the resolved apps.Config the cell builds its app with.
+func (c Cell) appConfig() apps.Config {
+	return apps.Config{Events: c.Events(), Seed: c.seed(), Scale: c.Scale}.Resolve()
+}
+
+// overrides returns the cell's parallelism overrides, each clamped to at
+// least 1 (the topology builder panics on a non-positive parallelism), or
+// nil when there are none.
+func (c Cell) overrides() map[string]int {
+	if len(c.ParallelismOverride) == 0 {
+		return nil
+	}
+	out := make(map[string]int, len(c.ParallelismOverride))
+	for op, p := range c.ParallelismOverride {
+		out[op] = max(p, 1)
+	}
+	return out
+}
+
+// simConfig returns the resolved engine.SimConfig the cell runs under,
+// without a tracer. It fails on an unknown system or spec variant, and on
+// nothing else.
+func (c Cell) simConfig() (engine.SimConfig, error) {
+	sys, err := SystemProfile(c.System)
+	if err != nil {
+		return engine.SimConfig{}, err
+	}
+	if c.NoAck {
+		sys.AckEnabled = false
+	}
+	spec, err := c.MachineSpec()
+	if err != nil {
+		return engine.SimConfig{}, err
+	}
+	return engine.SimConfig{
+		System:              sys,
+		BatchSize:           c.BatchSize,
+		Spec:                spec,
+		Sockets:             c.Sockets,
+		Cores:               c.Cores,
+		Placement:           c.Placement,
+		Seed:                c.seed(),
+		GC:                  c.GC,
+		SourceRate:          c.SourceRate,
+		LatencySampleEvery:  c.LatencySampleEvery,
+		CoordinatedOmission: c.COUncorrected,
+	}.Resolve(), nil
+}
+
 // Topology builds the cell's application topology with overrides applied.
 func (c Cell) Topology() (*engine.Topology, error) {
-	seed := c.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	topo, err := apps.Build(c.App, apps.Config{Events: c.Events(), Seed: seed, Scale: c.Scale})
+	topo, err := apps.Build(c.App, c.appConfig())
 	if err != nil {
 		return nil, err
 	}
-	for op, p := range c.ParallelismOverride {
+	for op, p := range c.overrides() {
 		n := topo.Node(op)
 		if n == nil {
 			return nil, fmt.Errorf("bench: override for unknown operator %q in %s", op, c.App)
-		}
-		// Clamp mirrors the topology builder's own invariant (engine panics
-		// on non-positive parallelism at construction); Canonical applies the
-		// same clamp so the memo key and the runtime agree.
-		if p < 1 {
-			p = 1
 		}
 		n.Parallelism = p
 	}
@@ -177,40 +224,14 @@ func RunTraced(c Cell, tr *trace.Tracer) (*engine.Result, error) {
 }
 
 func runCell(c Cell, tr *trace.Tracer) (*engine.Result, error) {
-	sys, err := SystemProfile(c.System)
+	cfg, err := c.simConfig()
 	if err != nil {
 		return nil, err
-	}
-	if c.NoAck {
-		sys.AckEnabled = false
 	}
 	topo, err := c.Topology()
 	if err != nil {
 		return nil, err
 	}
-	seed := c.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	cfg := engine.SimConfig{
-		System:              sys,
-		BatchSize:           c.BatchSize,
-		Sockets:             c.Sockets,
-		Cores:               c.Cores,
-		Placement:           c.Placement,
-		Seed:                seed,
-		GC:                  c.GC,
-		SourceRate:          c.SourceRate,
-		LatencySampleEvery:  c.LatencySampleEvery,
-		CoordinatedOmission: c.COUncorrected,
-		Trace:               tr,
-	}
-	if c.Spec != "" || c.HugePages || c.NoUopCache {
-		spec, err := c.MachineSpec()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Spec = spec
-	}
+	cfg.Trace = tr
 	return engine.RunSim(topo, cfg)
 }

@@ -1,133 +1,37 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
-	"streamscale/internal/hw"
-	"streamscale/internal/jvm"
+	"streamscale/internal/apps"
+	"streamscale/internal/engine"
 )
 
-// Canonical returns the cell's canonical serialization: two cells that the
-// simulator cannot distinguish produce the same string, and any difference
-// the simulator could observe produces a different one. It is the cache
-// key of the memo layer (hashed there together with the build
-// fingerprint), so it applies exactly the normalizations the runtime
-// applies — batch 0 and 1 are both "no batching" (runtime clamps to 1),
-// seed 0 defaults to 1, scale 0 to 1, sockets 0 to the full machine,
-// EventScale collapses to the resolved event count, the zero GC config to
-// the G1 defaults — and serializes maps in sorted key order so insertion
-// order never leaks into the key. Normalizations only ever mirror a
-// runtime clamp; anything the runtime might observe stays verbatim, so a
-// too-conservative key can cost a duplicate simulation but never alias
-// two distinguishable cells.
+// Canonical returns the cell's memo key (hashed there together with the
+// build fingerprint): a deterministic encoding of what the simulator
+// receives — the app name, the resolved apps.Config, the clamped
+// parallelism overrides, Chaining and the resolved engine.SimConfig. Two
+// cells that resolve to the same run share a key, and any difference the
+// run could observe changes it. encoding/json sorts map keys, so insertion
+// order never leaks into the key, writes floats exactly, and refuses a
+// value it cannot encode instead of printing a pointer. A cell that cannot
+// resolve (an unknown system or spec variant) keys on its names: Run fails
+// on those alone, before it builds anything.
 func (c Cell) Canonical() string {
-	// Clamps resolve against the cell's machine variant ("" = Table III):
-	// "all sockets" on an 8x4 machine is 8, not 4. An unknown variant name
-	// serializes verbatim against baseline clamps — Run will reject it
-	// before anything is cached, so the key only has to stay distinct.
-	spec := hw.TableIII()
-	if c.Spec != "" {
-		if v, ok := hw.Variant(c.Spec); ok {
-			spec = v
-		}
+	sim, err := c.simConfig()
+	if err != nil {
+		return fmt.Sprintf("cell-v4 unresolved app=%q sys=%q spec=%q", c.App, c.System, c.Spec)
 	}
-
-	sockets := c.Sockets
-	if sockets <= 0 || sockets > spec.Sockets {
-		sockets = spec.Sockets
+	b, err := json.Marshal(struct {
+		App       string
+		Config    apps.Config
+		Overrides map[string]int
+		Chaining  bool
+		Sim       engine.SimConfig
+	}{c.App, c.appConfig(), c.overrides(), c.Chaining, sim})
+	if err != nil {
+		panic("bench: cell key: " + err.Error())
 	}
-	cores := c.Cores
-	if cores <= 0 || cores >= sockets*spec.CoresPerSocket {
-		cores = 0 // unrestricted
-	}
-	batch := c.BatchSize
-	if batch <= 0 {
-		batch = 1
-	}
-	scale := c.Scale
-	if scale <= 0 {
-		scale = 1
-	}
-	seed := c.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	gc := c.GC
-	if gc.YoungBytes == 0 {
-		gc = jvm.G1()
-	}
-	if gc.YoungBytes >= 64<<20 {
-		gc.YoungBytes = 2 << 20
-	}
-	rate := c.SourceRate
-	if rate < 0 {
-		rate = 0 // runtime treats any non-positive rate as closed-loop
-	}
-	latEvery := c.LatencySampleEvery
-	if latEvery <= 0 {
-		latEvery = 8 // mirrors SimConfig.fill's default
-	}
-	co := c.COUncorrected
-	if rate == 0 {
-		co = false // runtime ignores the flag without an arrival schedule
-	}
-	noAck := c.NoAck
-	if c.System == "flink" {
-		noAck = false // flink's profile has acking off already
-	}
-
-	var sb strings.Builder
-	sb.Grow(256)
-	fmt.Fprintf(&sb, "cell-v3|app=%q|sys=%q|spec=%q|sockets=%d|cores=%d|batch=%d|events=%d|scale=%d|seed=%d",
-		c.App, c.System, c.Spec, sockets, cores, batch, c.Events(), scale, seed)
-	fmt.Fprintf(&sb, "|rate=%s|latevery=%d|noack=%t|co=%t", ff(rate), latEvery, noAck, co)
-	fmt.Fprintf(&sb, "|gc=%d,%d,%s,%s,%s,%d,%s,%t",
-		int(gc.Kind), gc.YoungBytes,
-		ff(gc.SurvivorFraction), ff(gc.CopyCyclesPerByte), ff(gc.ScanCyclesPerByte),
-		int64(gc.PauseBase), ff(gc.MutatorVisibleFraction), gc.UseNUMA)
-	fmt.Fprintf(&sb, "|huge=%t|nouop=%t|chain=%t", c.HugePages, c.NoUopCache, c.Chaining)
-
-	sb.WriteString("|place=")
-	if len(c.Placement) > 0 {
-		keys := make([]int, 0, len(c.Placement))
-		for k := range c.Placement {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		for i, k := range keys {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "%d:%d", k, c.Placement[k])
-		}
-	}
-
-	sb.WriteString("|par=")
-	if len(c.ParallelismOverride) > 0 {
-		ops := make([]string, 0, len(c.ParallelismOverride))
-		for op := range c.ParallelismOverride {
-			ops = append(ops, op)
-		}
-		sort.Strings(ops)
-		for i, op := range ops {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			// Clamp mirrors Cell.Topology: a non-positive override runs as
-			// parallelism 1, so it must key identically (joint-search
-			// verification cells pre-apply their clamps the same way).
-			p := c.ParallelismOverride[op]
-			if p < 1 {
-				p = 1
-			}
-			fmt.Fprintf(&sb, "%q:%d", op, p)
-		}
-	}
-	return sb.String()
+	return "cell-v4 " + string(b)
 }
-
-// ff formats a float64 with full round-trip precision.
-func ff(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -2,9 +2,10 @@ package bench
 
 import "testing"
 
-// TestCanonicalTailFields pins the cell-v3 key behavior for the open-loop
-// fields: anything the runtime can observe must change the key, and every
-// normalization must mirror exactly a runtime clamp — no more, no less.
+// TestCanonicalTailFields pins the cell-v4 key behavior for the open-loop
+// fields: anything the runtime can observe must change the key, and two
+// cells share a key exactly when they resolve to the same run — no more,
+// no less.
 func TestCanonicalTailFields(t *testing.T) {
 	base := Cell{App: "wc", System: "storm", Sockets: 1}
 

@@ -11,10 +11,10 @@ import (
 	"streamscale/internal/engine"
 )
 
-// cacheExt is the persistent cache file suffix. A file holds two gob
-// streams back to back: a header (fingerprint + canonical cell string)
-// followed by the encoded engine.Result, so pruning can decide a file's
-// fate from the header alone without decoding the result.
+// cacheExt is the persistent cache file suffix. A file holds one gob
+// stream of two values: a header (fingerprint + canonical cell string)
+// followed by the engine.Result, so pruning can decide a file's fate from
+// the header alone without decoding the result.
 const cacheExt = ".dspcache"
 
 // header identifies what a cache file holds and which build produced it.

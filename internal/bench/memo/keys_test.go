@@ -100,8 +100,8 @@ func TestCanonicalMapOrderInvariance(t *testing.T) {
 }
 
 // TestCanonicalRuntimeClamps pins the safe equivalences: pairs of cells
-// the runtime provably cannot distinguish (each normalization mirrors an
-// explicit clamp in the runtime or app builder) share one canonical.
+// the runtime provably cannot distinguish (each pair resolves to the same
+// run in the runtime or app builder) share one canonical.
 func TestCanonicalRuntimeClamps(t *testing.T) {
 	bigYoungA, bigYoungB := jvm.G1(), jvm.G1()
 	bigYoungA.YoungBytes = 256 << 20

@@ -106,10 +106,7 @@ func ValidateNative(cells []Cell, reps int) (*NativeValidation, error) {
 		if err != nil {
 			return nil, err
 		}
-		seed := c.Seed
-		if seed == 0 {
-			seed = 1
-		}
+		seed := c.seed()
 
 		type variant struct {
 			sys   engine.SystemProfile

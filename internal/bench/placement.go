@@ -132,9 +132,7 @@ func rankPlacement(model *place.Model, app, system string, batch, scale int) ([]
 	var pool []PlacementPlan
 	seenSeed := make(map[string]bool)
 	for _, balanced := range []bool{true, false} {
-		ps, err := place.PlanFor(topo, sys, 4, place.PlaceOptions{
-			CoresPerSocket: 8, Oversubscribe: 1.5, Balanced: balanced,
-		})
+		ps, err := place.PlanFor(topo, sys, 4, place.PlaceOptions{Balanced: balanced})
 		if err != nil {
 			continue
 		}

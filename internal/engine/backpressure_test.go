@@ -45,7 +45,8 @@ func TestSimTinyQueuesBackpressure(t *testing.T) {
 		topo.AddOp("sink", 1, func() Operator { return ProcessFunc(func(Context, Tuple) {}) }).
 			SubDefault("fan", Fields("a"))
 
-		res, err := RunSim(topo, SimConfig{System: sys, Seed: 3, Sockets: 1, QueueCap: 2})
+		sys.QueueCap = 2
+		res, err := RunSim(topo, SimConfig{System: sys, Seed: 3, Sockets: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", sys.Name, err)
 		}
@@ -73,7 +74,9 @@ func TestNativeTinyQueuesBackpressure(t *testing.T) {
 	topo.AddOp("sink", 2, func() Operator { return ProcessFunc(func(Context, Tuple) {}) }).
 		SubDefault("fan", Fields("b"))
 
-	res, err := RunNative(topo, NativeConfig{System: Storm(), Seed: 3, QueueCap: 2})
+	sys := Storm()
+	sys.QueueCap = 2
+	res, err := RunNative(topo, NativeConfig{System: sys, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +112,9 @@ func TestSimFlushBurstThroughTinyQueues(t *testing.T) {
 	topo.AddOp("sink", 1, func() Operator { return ProcessFunc(func(Context, Tuple) {}) }).
 		SubDefault("hold", Shuffle())
 
-	res, err := RunSim(topo, SimConfig{System: Flink(), Seed: 1, Sockets: 1, QueueCap: 2})
+	sys := Flink()
+	sys.QueueCap = 2
+	res, err := RunSim(topo, SimConfig{System: sys, Seed: 1, Sockets: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +134,9 @@ func TestSimBackpressureDeterminism(t *testing.T) {
 			SubDefault("src", Shuffle())
 		topo.AddOp("sink", 1, func() Operator { return ProcessFunc(func(Context, Tuple) {}) }).
 			SubDefault("fan", Fields("a"))
-		res, err := RunSim(topo, SimConfig{System: Storm(), Seed: 11, Sockets: 1, QueueCap: 3})
+		sys := Storm()
+		sys.QueueCap = 3
+		res, err := RunSim(topo, SimConfig{System: sys, Seed: 11, Sockets: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

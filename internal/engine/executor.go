@@ -247,13 +247,10 @@ func newExecutors(t *Topology, cfg *execConfig, rootSeq *int64) []*executor {
 const maxLatencySampleEvery = 1 << 30
 
 // fillRun applies the defaults both runtimes' configurations share.
-func fillRun(sys *SystemProfile, batch, queueCap, sampleEvery *int) {
+func fillRun(sys *SystemProfile, batch, sampleEvery *int) {
 	*batch = max(*batch, 1)
-	if *queueCap <= 0 {
-		*queueCap = sys.QueueCap
-	}
-	if *queueCap <= 0 {
-		*queueCap = 1024
+	if sys.QueueCap <= 0 {
+		sys.QueueCap = 1024
 	}
 	if *sampleEvery <= 0 {
 		*sampleEvery = 8

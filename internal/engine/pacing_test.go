@@ -154,7 +154,7 @@ func reportEarly(t *testing.T, name string, checks []*leaveCheck) {
 // leaveCheck; the wrapper charges nothing, so the run is cycle-exact.
 func runSimChecked(t *testing.T, topo *Topology, cfg SimConfig) *Result {
 	t.Helper()
-	cfg.fill()
+	cfg = cfg.Resolve()
 	xt, err := BuildExecTopology(topo, cfg.System)
 	if err != nil {
 		t.Fatal(err)

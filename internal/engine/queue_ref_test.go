@@ -55,16 +55,16 @@ func (q *refSimQueue) size() int { return q.n }
 // TestSimQueueMatchesFixedRing drives simQueue and the fixed ring through
 // the same random pushes and pops, in phases that fill the queue, drain it
 // and hold it part full while the ring wraps, at the profile's default
-// capacity and at QueueCap overrides that are not powers of two. Every
+// capacity and at profile QueueCaps that are not powers of two. Every
 // operation must answer alike: full or empty, the same slot (and so the
 // same simulated address), the same message and the same size. The
 // storage may never hold more than twice the most messages queued at once
 // (or 8), nor more than the capacity.
 func TestSimQueueMatchesFixedRing(t *testing.T) {
-	for _, override := range []int{0, 1, 3, 100, 1000} {
-		cfg := SimConfig{System: Storm(), QueueCap: override}
-		cfg.fill()
-		capacity := cfg.QueueCap
+	for _, queueCap := range []int{0, 1, 3, 100, 1000} {
+		sys := Storm()
+		sys.QueueCap = queueCap
+		capacity := SimConfig{System: sys}.Resolve().System.QueueCap
 		rng := rand.New(rand.NewSource(int64(capacity)))
 		q, _, _ := newTestQueue(capacity)
 		ref := newRefSimQueue(capacity, q.baseAddr)

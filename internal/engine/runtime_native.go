@@ -36,9 +36,6 @@ type NativeConfig struct {
 	// BatchSize is the source batch size S of the paper's §VI-A;
 	// 1 (or 0) disables batching.
 	BatchSize int
-	// QueueCap overrides the profile's executor queue capacity (messages
-	// buffered per consumer, split across its producer rings).
-	QueueCap int
 	// Seed drives all per-executor randomness.
 	Seed int64
 	// SourceRate throttles each source executor to the given event rate
@@ -63,7 +60,7 @@ type NativeConfig struct {
 }
 
 func (c *NativeConfig) fill() {
-	fillRun(&c.System, &c.BatchSize, &c.QueueCap, &c.LatencySampleEvery)
+	fillRun(&c.System, &c.BatchSize, &c.LatencySampleEvery)
 }
 
 // RunNative executes the topology with real goroutines and lock-free ring
@@ -128,7 +125,7 @@ func buildNative(t *Topology, cfg NativeConfig) ([]*nativeDriver, error) {
 			for _, ed := range edges {
 				for _, to := range ed.to {
 					if d.out[to] == nil {
-						d.out[to] = d.link(drivers[to], cfg.QueueCap/drivers[to].ex.nProducers)
+						d.out[to] = d.link(drivers[to], cfg.System.QueueCap/drivers[to].ex.nProducers)
 					}
 				}
 			}

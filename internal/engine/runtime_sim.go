@@ -60,13 +60,8 @@ type SimConfig struct {
 
 	// Seed drives all randomness.
 	Seed int64
-	// QueueCap overrides the profile's queue capacity.
-	QueueCap int
 	// LatencySampleEvery samples end-to-end latency every n-th sink tuple.
 	LatencySampleEvery int
-	// TimeLimit aborts the simulation after this many cycles (safety
-	// net; 0 = one simulated hour).
-	TimeLimit sim.Cycles
 
 	// Trace, if non-nil, records a cycle-exact trace of the run (sampled
 	// tuple span chains, scheduler timelines, queue depths, folded stall
@@ -75,14 +70,29 @@ type SimConfig struct {
 	Trace *trace.Tracer
 }
 
-func (c *SimConfig) fill() {
+// simTimeLimit is the safety net of every simulated run: it aborts after
+// one simulated hour, which no cell comes near.
+const simTimeLimit = 3600 // simulated seconds
+
+// Resolve returns the configuration a run actually uses: every default
+// applied, and every setting the runtime cannot tell from another written
+// one way. The zero Spec is Table III; Sockets and Cores resolve through
+// hw.Slice, and a Cores that enables every core of those sockets reads as
+// 0; the zero GC is G1 with a simulation-sized young generation; a
+// SourceRate that is not positive reads as 0 with CoordinatedOmission
+// off, since a closed-loop run has no arrival schedule to correct
+// against; an empty Placement reads as nil. Two configurations that
+// resolve equal run identically, which is what the bench memo keys on.
+func (c SimConfig) Resolve() SimConfig {
 	if c.Spec.Sockets == 0 {
 		c.Spec = hw.TableIII()
 	}
-	if c.Sockets <= 0 || c.Sockets > c.Spec.Sockets {
-		c.Sockets = c.Spec.Sockets
+	sockets, n := hw.Slice(c.Spec.Sockets, c.Spec.CoresPerSocket, c.Sockets, c.Cores)
+	c.Sockets, c.Cores = sockets, 0
+	if n < sockets*c.Spec.CoresPerSocket {
+		c.Cores = n
 	}
-	fillRun(&c.System, &c.BatchSize, &c.QueueCap, &c.LatencySampleEvery)
+	fillRun(&c.System, &c.BatchSize, &c.LatencySampleEvery)
 	if c.GC.YoungBytes == 0 {
 		c.GC = jvm.G1()
 	}
@@ -93,17 +103,18 @@ func (c *SimConfig) fill() {
 		// ratio (hence the GC overhead share) matches production behaviour.
 		c.GC.YoungBytes = 2 << 20
 	}
-	if c.TimeLimit <= 0 {
-		c.TimeLimit = sim.Cycles(c.Spec.ClockHz) * 3600
+	if !(c.SourceRate > 0) {
+		c.SourceRate, c.CoordinatedOmission = 0, false
 	}
+	if len(c.Placement) == 0 {
+		c.Placement = nil
+	}
+	return c
 }
 
-// EnabledCores returns the core IDs the configuration enables.
+// EnabledCores returns the core IDs a resolved configuration enables.
 func (c *SimConfig) EnabledCores() []int {
-	n := c.Sockets * c.Spec.CoresPerSocket
-	if c.Cores > 0 && c.Cores < n {
-		n = c.Cores
-	}
+	_, n := hw.Slice(c.Spec.Sockets, c.Spec.CoresPerSocket, c.Sockets, c.Cores)
 	cores := make([]int, n)
 	for i := range cores {
 		cores[i] = i
@@ -195,7 +206,7 @@ func (rt *simRuntime) noteDelivery(from, to, tuples, bytes int) {
 //dsplint:wallclock
 func RunSim(t *Topology, cfg SimConfig) (*Result, error) {
 	start := time.Now()
-	cfg.fill()
+	cfg = cfg.Resolve()
 	xt, err := BuildExecTopology(t, cfg.System)
 	if err != nil {
 		return nil, err
@@ -265,8 +276,8 @@ func (rt *simRuntime) build() error {
 			qSocket = s
 		}
 		if e.src == nil {
-			base := rt.heap.AllocTenured(qSocket, cfg.QueueCap*32)
-			d.in = newSimQueue(cfg.QueueCap, base, rt.sched)
+			base := rt.heap.AllocTenured(qSocket, cfg.System.QueueCap*32)
+			d.in = newSimQueue(cfg.System.QueueCap, base, rt.sched)
 		}
 		rt.drivers = append(rt.drivers, d)
 	}
@@ -334,7 +345,7 @@ func (rt *simRuntime) run(app string) (*Result, error) {
 	if rt.tr != nil {
 		rt.tr.Begin(app, rt.cfg.System.Name, rt.cfg.Spec.ClockHz)
 	}
-	events := rt.kernel.Run(rt.cfg.TimeLimit)
+	events := rt.kernel.Run(sim.Cycles(rt.cfg.Spec.ClockHz) * simTimeLimit)
 	if live := rt.sched.Live(); live > 0 {
 		return nil, fmt.Errorf("engine: simulation stalled with %d live executors at %d cycles (deadlock or time limit)",
 			live, rt.kernel.Now())

@@ -424,8 +424,9 @@ func TestSimExecutorProfileView(t *testing.T) {
 func TestSimRecyclesEverySlab(t *testing.T) {
 	run := func(sentences int) (made int, msgs int64) {
 		topo := wcTopology(sentences, func() Operator { return ProcessFunc(func(Context, Tuple) {}) })
-		cfg := SimConfig{System: Storm(), BatchSize: 8, QueueCap: 16, Seed: 7}
-		cfg.fill()
+		sys := Storm()
+		sys.QueueCap = 16
+		cfg := SimConfig{System: sys, BatchSize: 8, Seed: 7}.Resolve()
 		xt, err := BuildExecTopology(topo, cfg.System)
 		if err != nil {
 			t.Fatal(err)
@@ -455,7 +456,7 @@ func TestSimRecyclesEverySlab(t *testing.T) {
 				queues++
 			}
 		}
-		if inFlight := 2 * queues * cfg.QueueCap; rt.slabsMade > inFlight {
+		if inFlight := 2 * queues * cfg.System.QueueCap; rt.slabsMade > inFlight {
 			t.Errorf("%d sentences: %d slabs, above twice the %d queue slots", sentences, rt.slabsMade, inFlight/2)
 		}
 		for _, e := range res.Edges {

@@ -47,7 +47,9 @@ type SystemProfile struct {
 	// MispredictRate is the misprediction probability per counted branch.
 	MispredictRate float64
 
-	// QueueCap is the bounded executor input queue capacity, in messages.
+	// QueueCap is the bounded executor input queue capacity, in messages
+	// (0 = 1024). The native runtime splits it across a consumer's
+	// producer rings.
 	QueueCap int
 
 	// AckEnabled adds Storm-style XOR tuple-tracking acker executors and

@@ -129,6 +129,24 @@ func TableIII() MachineSpec {
 // TotalCores returns the machine's core count.
 func (s MachineSpec) TotalCores() int { return s.Sockets * s.CoresPerSocket }
 
+// Slice resolves the part of a machine with the given shape that a run
+// enables: the first sockets sockets, then the first cores cores of those
+// (the paper's 1–8-core sweep within one socket). A sockets value that is
+// not positive or exceeds the machine's means every socket; a cores value
+// that is not positive or reaches those sockets' core count means all of
+// them. It returns the socket count and the enabled core count n; the
+// enabled cores are 0 to n-1, so the last socket they cover may be partial.
+func Slice(machineSockets, coresPerSocket, sockets, cores int) (int, int) {
+	if sockets <= 0 || sockets > machineSockets {
+		sockets = machineSockets
+	}
+	n := sockets * coresPerSocket
+	if cores > 0 && cores < n {
+		n = cores
+	}
+	return sockets, n
+}
+
 // Validate rejects machine shapes the models downstream would turn into
 // +Inf or NaN bottlenecks (zero sockets make every per-socket bound divide
 // by zero; zero link bandwidth prices any crossing byte as infinite). It

@@ -154,14 +154,7 @@ func (e *Estimator) Estimate(t Target) (Prediction, error) {
 		unc += uncPerBatchDoubling * math.Log2(r)
 	}
 
-	sockets := t.Sockets
-	if sockets <= 0 || sockets > spec.Sockets {
-		sockets = spec.Sockets
-	}
-	enabled := sockets * spec.CoresPerSocket
-	if t.Cores > 0 && t.Cores < enabled {
-		enabled = t.Cores
-	}
+	sockets, enabled := hw.Slice(spec.Sockets, spec.CoresPerSocket, t.Sockets, t.Cores)
 	if sockets != spec.Sockets || enabled != spec.TotalCores() {
 		unc += uncSliceChange
 	}

@@ -440,32 +440,33 @@ type JointCandidate struct {
 	Score float64
 }
 
+// The joint search's fixed sizes: it returns the top jointTopM joint
+// configurations; the top topVectors screened vectors get the full
+// assignment branch-and-bound and the rest stop at the greedy screen; and
+// it enumerates at most vectorBudget vectors, in a deterministic order, so
+// a truncation is reproducible.
+const (
+	jointTopM    = 6
+	topVectors   = 4
+	vectorBudget = 4096
+)
+
 // JointOptions tunes SearchJoint. The zero value picks the defaults the
 // report runs.
 type JointOptions struct {
-	// TopM is how many joint configurations to return (default 6).
-	TopM int
-	// TopVectors is how many screened vectors get the full assignment
-	// branch-and-bound (default 4); the rest stop at the greedy screen.
-	TopVectors int
-	// VectorBudget bounds enumerated vectors (default 4096); enumeration
-	// order is deterministic, so a truncation is reproducible.
-	VectorBudget int
 	// Search tunes the per-vector assignment search. Its TopM defaults to
 	// 2 plans per vector, not the placement pool's 8: the joint search
 	// runs many inner searches, and only a vector's best plans can win.
 	Search SearchOptions
+
+	// vectorBudget overrides the package's vectorBudget; only tests set
+	// it.
+	vectorBudget int
 }
 
 func (o *JointOptions) fill() {
-	if o.TopM <= 0 {
-		o.TopM = 6
-	}
-	if o.TopVectors <= 0 {
-		o.TopVectors = 4
-	}
-	if o.VectorBudget <= 0 {
-		o.VectorBudget = 4096
+	if o.vectorBudget <= 0 {
+		o.vectorBudget = vectorBudget
 	}
 	if o.Search.TopM <= 0 {
 		o.Search.TopM = 2
@@ -576,7 +577,7 @@ func (w *Workload) SearchJoint(opts JointOptions) (*JointResult, error) {
 	vectors := [][]int{res.DefaultPar}
 	var enum func(d int, cur []int)
 	enum = func(d int, cur []int) {
-		if len(vectors) >= opts.VectorBudget {
+		if len(vectors) >= opts.vectorBudget {
 			return
 		}
 		if d == len(idx) {
@@ -607,7 +608,7 @@ func (w *Workload) SearchJoint(opts JointOptions) (*JointResult, error) {
 	}
 	var pool []screened
 	worstKept := func() float64 {
-		if len(pool) < opts.TopVectors {
+		if len(pool) < topVectors {
 			return 1e308
 		}
 		scores := make([]float64, len(pool))
@@ -615,7 +616,7 @@ func (w *Workload) SearchJoint(opts JointOptions) (*JointResult, error) {
 			scores[i] = s.greedy.Score
 		}
 		sort.Float64s(scores)
-		return scores[opts.TopVectors-1]
+		return scores[topVectors-1]
 	}
 	for vi, par := range vectors {
 		res.VectorsScreened++
@@ -647,8 +648,8 @@ func (w *Workload) SearchJoint(opts JointOptions) (*JointResult, error) {
 		return slices.Compare(pool[i].par, pool[j].par) < 0
 	})
 	searched := pool
-	if len(searched) > opts.TopVectors {
-		searched = searched[:opts.TopVectors]
+	if len(searched) > topVectors {
+		searched = searched[:topVectors]
 	}
 	// The default vector is always searched in full, even when its greedy
 	// score misses the cut: it anchors the never-worse-than-fixed
@@ -707,7 +708,7 @@ func (w *Workload) SearchJoint(opts JointOptions) (*JointResult, error) {
 		}
 		seen[key] = true
 		res.Candidates = append(res.Candidates, c)
-		if len(res.Candidates) == opts.TopM {
+		if len(res.Candidates) == jointTopM {
 			break
 		}
 	}

@@ -402,7 +402,7 @@ func TestSearchJointNeverWorseThanDefault(t *testing.T) {
 			r.Candidates[0].Score, fixed[0].Score)
 	}
 	// Even with the vector budget squeezed to the default vector alone.
-	r1, err := w.SearchJoint(JointOptions{VectorBudget: 1})
+	r1, err := w.SearchJoint(JointOptions{vectorBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -268,7 +268,7 @@ func TestPlanForKRespectsCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := PlanForK(g, 2, PlaceOptions{CoresPerSocket: 2, Oversubscribe: 1.5})
+	plan, err := PlanForK(g, 2, PlaceOptions{capacity: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestPlanBeatsRoundRobin(t *testing.T) {
 	// On a communication-heavy chain, the optimizer must not be worse
 	// than round-robin placement.
 	g, _ := BuildCommGraph(chainTopology(), engine.Storm())
-	plan, err := PlanForK(g, 2, PlaceOptions{CoresPerSocket: 8})
+	plan, err := PlanForK(g, 2, PlaceOptions{capacity: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestPlansEnumerateK(t *testing.T) {
 
 func TestPlanForKInfeasible(t *testing.T) {
 	g, _ := BuildCommGraph(chainTopology(), engine.Storm()) // 6 executors
-	if _, err := PlanForK(g, 1, PlaceOptions{CoresPerSocket: 2, Oversubscribe: 1}); err == nil {
+	if _, err := PlanForK(g, 1, PlaceOptions{capacity: 2}); err == nil {
 		t.Fatal("infeasible capacity accepted")
 	}
 }
@@ -348,7 +348,7 @@ func TestPlacementProperty(t *testing.T) {
 			}
 		}
 		k := 1 + rng.Intn(4)
-		plan, err := PlanForK(g, k, PlaceOptions{CoresPerSocket: 8, Oversubscribe: 4})
+		plan, err := PlanForK(g, k, PlaceOptions{capacity: 32})
 		if err != nil {
 			return true // infeasible is allowed
 		}

@@ -25,31 +25,30 @@ func (p *Plan) Placement() map[int]int {
 	return m
 }
 
+// socketCapacity is how many executors a capacity-capped plan puts on one
+// socket: Table III's 8 cores, each time-sharing 1.5 executors.
+const socketCapacity = 8 * 1.5
+
+// refinements bounds the greedy improvement passes after the min-k-cut
+// seed.
+const refinements = 8
+
 // PlaceOptions tunes the placement optimizer.
 type PlaceOptions struct {
-	// CoresPerSocket bounds how many executors fit one socket, scaled by
-	// Oversubscribe (executors time-share cores).
-	CoresPerSocket int
-	// Oversubscribe is the executors-per-core budget (default 4).
-	Oversubscribe float64
-	// Refinements bounds greedy improvement passes (default 8).
-	Refinements int
 	// Balanced switches the capacity constraint from executor count to
 	// estimated CPU load (CommGraph.Load), with a 5% slack over the even
 	// split. Without it, min-k-cut gladly packs most executors onto one
-	// socket, which is Equation-1-optimal but CPU-bound.
+	// socket, up to socketCapacity executors, which is Equation-1-optimal
+	// but CPU-bound.
 	Balanced bool
+
+	// capacity overrides socketCapacity; only tests set it.
+	capacity float64
 }
 
 func (o *PlaceOptions) fill() {
-	if o.CoresPerSocket <= 0 {
-		o.CoresPerSocket = 8
-	}
-	if o.Oversubscribe <= 0 {
-		o.Oversubscribe = 4
-	}
-	if o.Refinements <= 0 {
-		o.Refinements = 8
+	if o.capacity <= 0 {
+		o.capacity = socketCapacity
 	}
 }
 
@@ -67,7 +66,7 @@ func loadsAndCapacity(g *CommGraph, k int, opts PlaceOptions) ([]float64, float6
 	if opts.Balanced {
 		return loads, float64((n+k-1)/k + 1)
 	}
-	return loads, float64(opts.CoresPerSocket) * opts.Oversubscribe
+	return loads, opts.capacity
 }
 
 // PlanForK computes a capacity-constrained placement of the graph onto k
@@ -90,7 +89,7 @@ func PlanForK(g *CommGraph, k int, opts PlaceOptions) (*Plan, error) {
 		seed, _ := MinKCut(g.W, k)
 		copy(assign, seed)
 		enforceCapacity(g, assign, loads, k, capacity)
-		refine(g, assign, loads, k, capacity, opts.Refinements)
+		refine(g, assign, loads, k, capacity, refinements)
 	}
 	return &Plan{K: k, Assign: assign, Cost: g.CutCost(assign)}, nil
 }

@@ -300,10 +300,9 @@ func (m *Model) interference(i int) float64 {
 // socket pair's crossing traffic against one QPI link. Lower is better;
 // the minimum over assignments is the model's choice.
 //
-// The first `sockets` sockets are enabled (0 or out of range = all), and a
-// nonzero `cores` further restricts the slice to the machine's first n
-// cores, so the last covered socket may run only a few (exactly the
-// simulator's SimConfig.Sockets/Cores semantics). The oversubscription
+// The slice is hw.Slice's, as in the simulator's SimConfig.Sockets/Cores:
+// the first `sockets` sockets, then the first `cores` cores of those, so
+// the last covered socket may run only a few. The oversubscription
 // interference term triggers against the enabled core count; DRAM
 // bandwidth is per socket and does not shrink with disabled cores. An
 // executor assigned to a socket with no enabled cores is infeasible and
@@ -313,13 +312,7 @@ func (m *Model) BottleneckOn(assign []int, sockets, cores int) float64 {
 	if len(assign) != n {
 		panic(fmt.Sprintf("place: assignment length %d != %d executors", len(assign), n))
 	}
-	if sockets <= 0 || sockets > m.Sockets {
-		sockets = m.Sockets
-	}
-	enabled := sockets * m.CoresPerSocket
-	if cores > 0 && cores < enabled {
-		enabled = cores
-	}
+	_, enabled := hw.Slice(m.Sockets, m.CoresPerSocket, sockets, cores)
 	coresOn := func(s int) int {
 		c := enabled - s*m.CoresPerSocket
 		if c > m.CoresPerSocket {

@@ -1,6 +1,6 @@
 // Package ring provides the bounded lock-free queues of the native
-// runtime's data path: a single-producer/single-consumer (SPSC) ring with
-// batch transfer, and an MPSC front composed of per-producer SPSC lanes
+// runtime's data path: a single-producer/single-consumer (SPSC) ring and
+// an MPSC front composed of per-producer SPSC lanes
 // (mpsc.go). The design follows the shared-memory engines the paper's
 // successors converged on (BriskStream, Hazelcast Jet): no locks on the
 // data path, cache-line-padded head/tail indices so producer and consumer
@@ -137,30 +137,6 @@ func (r *SPSC[T]) TryPush(v T) bool {
 	return true
 }
 
-// PushN appends as many of vs as fit and returns how many it took.
-//
-//dsp:hotpath
-func (r *SPSC[T]) PushN(vs []T) int {
-	t := r.tail.Load()
-	free := uint64(len(r.buf)) - (t - r.cachedHead)
-	if free < uint64(len(vs)) {
-		r.cachedHead = r.head.Load()
-		free = uint64(len(r.buf)) - (t - r.cachedHead)
-	}
-	n := len(vs)
-	if uint64(n) > free {
-		n = int(free)
-	}
-	for i := 0; i < n; i++ {
-		r.buf[(t+uint64(i))&r.mask] = vs[i]
-	}
-	if n > 0 {
-		r.tail.Store(t + uint64(n))
-		r.cons.Signal()
-	}
-	return n
-}
-
 // TryPop removes and returns the oldest item, reporting whether one was
 // available. The vacated slot is zeroed so the ring never retains
 // references past consumption.
@@ -180,33 +156,6 @@ func (r *SPSC[T]) TryPop() (T, bool) {
 	r.head.Store(h + 1)
 	r.prod.Signal()
 	return v, true
-}
-
-// PopN fills dst with up to len(dst) items and returns how many it took.
-//
-//dsp:hotpath
-func (r *SPSC[T]) PopN(dst []T) int {
-	var zero T
-	h := r.head.Load()
-	avail := r.cachedTail - h
-	if avail < uint64(len(dst)) {
-		r.cachedTail = r.tail.Load()
-		avail = r.cachedTail - h
-	}
-	n := len(dst)
-	if uint64(n) > avail {
-		n = int(avail)
-	}
-	for i := 0; i < n; i++ {
-		idx := (h + uint64(i)) & r.mask
-		dst[i] = r.buf[idx]
-		r.buf[idx] = zero
-	}
-	if n > 0 {
-		r.head.Store(h + uint64(n))
-		r.prod.Signal()
-	}
-	return n
 }
 
 // Push blocks until v is enqueued: spin-with-yield first, then park on the

@@ -2,7 +2,6 @@ package ring
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 )
@@ -44,38 +43,6 @@ func TestSPSCWraparound(t *testing.T) {
 	}
 }
 
-func TestSPSCPushNPopN(t *testing.T) {
-	r := NewSPSC[int](8, nil)
-	in := []int{1, 2, 3, 4, 5, 6}
-	if n := r.PushN(in); n != 6 {
-		t.Fatalf("PushN = %d, want 6", n)
-	}
-	// Only 2 slots left: partial push.
-	if n := r.PushN([]int{7, 8, 9}); n != 2 {
-		t.Fatalf("partial PushN = %d, want 2", n)
-	}
-	dst := make([]int, 5)
-	if n := r.PopN(dst); n != 5 {
-		t.Fatalf("PopN = %d, want 5", n)
-	}
-	for i, v := range dst {
-		if v != i+1 {
-			t.Fatalf("dst[%d] = %d, want %d", i, v, i+1)
-		}
-	}
-	// 3 left (6,7,8); ask for 10.
-	dst = make([]int, 10)
-	if n := r.PopN(dst); n != 3 {
-		t.Fatalf("partial PopN = %d, want 3", n)
-	}
-	if dst[0] != 6 || dst[1] != 7 || dst[2] != 8 {
-		t.Fatalf("partial PopN contents = %v", dst[:3])
-	}
-	if n := r.PopN(dst); n != 0 {
-		t.Fatalf("PopN on empty = %d, want 0", n)
-	}
-}
-
 // Concurrent FIFO: everything pushed arrives in order, through a ring much
 // smaller than the item count (so both blocking paths engage).
 func TestSPSCConcurrentFIFO(t *testing.T) {
@@ -93,56 +60,6 @@ func TestSPSCConcurrentFIFO(t *testing.T) {
 	}()
 	for i := 0; i < items; i++ {
 		r.Push(i)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Concurrent batch transfer with mixed batch sizes.
-func TestSPSCConcurrentBatches(t *testing.T) {
-	const items = 50_000
-	r := NewSPSC[int](16, nil)
-	done := make(chan error, 1)
-	go func() {
-		buf := make([]int, 7)
-		seen := 0
-		for seen < items {
-			n := r.PopN(buf)
-			if n == 0 {
-				// Blocking pop for the next one to avoid a spin loop.
-				if v := r.Pop(); v != seen {
-					done <- errf("pop %d: got %d", seen, v)
-					return
-				}
-				seen++
-				continue
-			}
-			for i := 0; i < n; i++ {
-				if buf[i] != seen {
-					done <- errf("popN %d: got %d", seen, buf[i])
-					return
-				}
-				seen++
-			}
-		}
-		done <- nil
-	}()
-	batch := make([]int, 0, 5)
-	for i := 0; i < items; {
-		batch = batch[:0]
-		for k := 0; k < cap(batch) && i+k < items; k++ {
-			batch = append(batch, i+k)
-		}
-		sent := 0
-		for sent < len(batch) {
-			n := r.PushN(batch[sent:])
-			if n == 0 {
-				runtime.Gosched() // full: let the consumer drain
-			}
-			sent += n
-		}
-		i += len(batch)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)

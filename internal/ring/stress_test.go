@@ -9,9 +9,9 @@ import (
 
 // TestRingStress is the high-iteration race-detector stress test ci.sh
 // runs with DSP_STRESS=1 and -race. A tiny capacity forces constant wrap,
-// full-ring backpressure, and waiter park/wake cycles; mixing the blocking,
-// Try, and batch variants on both sides exercises every ordering the
-// protocol allows. Sequence checks make lost or reordered items failures
+// full-ring backpressure, and waiter park/wake cycles; mixing the blocking
+// and Try variants on both sides exercises every ordering the protocol
+// allows. Sequence checks make lost or reordered items failures
 // even when the race detector stays quiet.
 func TestRingStress(t *testing.T) {
 	if os.Getenv("DSP_STRESS") == "" {
@@ -28,29 +28,15 @@ func TestRingStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var batch [7]uint64
 			next := uint64(0)
 			for next < total {
-				switch next % 3 {
-				case 0:
+				if next%2 == 0 {
 					r.Push(next)
 					next++
-				case 1:
-					if !r.TryPush(next) {
-						runtime.Gosched()
-						continue
-					}
+				} else if r.TryPush(next) {
 					next++
-				default:
-					n := 0
-					for i := range batch {
-						if next+uint64(i) >= total {
-							break
-						}
-						batch[i] = next + uint64(i)
-						n++
-					}
-					next += uint64(r.PushN(batch[:n]))
+				} else {
+					runtime.Gosched()
 				}
 			}
 		}()
@@ -62,25 +48,13 @@ func TestRingStress(t *testing.T) {
 			}
 			got++
 		}
-		var buf [5]uint64
 		for got < total {
-			switch got % 3 {
-			case 0:
+			if got%2 == 0 {
 				check(r.Pop())
-			case 1:
-				if v, ok := r.TryPop(); ok {
-					check(v)
-				} else {
-					runtime.Gosched()
-				}
-			default:
-				n := r.PopN(buf[:])
-				for i := 0; i < n; i++ {
-					check(buf[i])
-				}
-				if n == 0 {
-					runtime.Gosched()
-				}
+			} else if v, ok := r.TryPop(); ok {
+				check(v)
+			} else {
+				runtime.Gosched()
 			}
 		}
 		wg.Wait()
