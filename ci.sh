@@ -32,7 +32,9 @@ if [ "$analyzers" -ne 8 ]; then
 fi
 go run ./cmd/dsplint ./...
 # -timeout raised above the go test default (10m): the race detector's
-# ~10x slowdown pushes internal/bench past 10 minutes on small hosts.
+# ~10x slowdown pushes internal/bench past 10 minutes on small hosts. This
+# run includes the gates of the fast tier, the joint search and the tail
+# stack (TestTierSmoke, TestJointSmoke and TestTailSmoke in internal/bench).
 go test -race -timeout 45m ./...
 # Cache-equivalence gate: the same sweep run cold (simulate + persist)
 # and warm (replay from the -cache directory, zero simulations) must
@@ -45,6 +47,15 @@ go test -run TestColdVsWarmEquivalence -count=1 ./internal/bench/
 # out of the tree.
 BENCH_DIR=$(mktemp -d)
 trap 'rm -rf "$BENCH_DIR"' EXIT
+# Experiment-list stage: dspreport lists only report experiments (the gates
+# are the tests above), and -tier adds the tiered spec matrix. -list builds
+# each experiment list without running any of it.
+go run ./cmd/dspreport -list > "$BENCH_DIR/list.txt"
+go run ./cmd/dspreport -tier -list > "$BENCH_DIR/tier_list.txt"
+if grep -q smoke "$BENCH_DIR/list.txt" "$BENCH_DIR/tier_list.txt"; then
+  echo "ci: dspreport lists a smoke experiment:" >&2; grep smoke "$BENCH_DIR/list.txt" "$BENCH_DIR/tier_list.txt" >&2; exit 1
+fi
+grep -q '^  tier-specs ' "$BENCH_DIR/tier_list.txt" || { echo "ci: dspreport -tier -list lacks tier-specs" >&2; exit 1; }
 # Report stage: a cold full report (no -cache, default -jobs) must print
 # exactly the committed report_output.txt. The report is deterministic at
 # any worker count, so any difference is a changed result: regenerate and
@@ -109,22 +120,13 @@ go test -run '^$' -fuzz '^FuzzHistogramGobDecode$' -fuzztime 10s ./internal/metr
 # fast). Sequence checks catch lost/reordered items; -race catches the
 # orderings the sequence checks cannot.
 DSP_STRESS=1 go test -race -run TestRingStress -count=1 ./internal/ring/
-# Fast-tier smoke stage: dspreport's tier-smoke experiment re-simulates its
-# tiered sweep exhaustively and exits non-zero if any verified row differs
-# from the untiered simulation path or the sweep-wide rank correlation
-# falls below tau = 0.90 (bench.TierSmoke).
-go run ./cmd/dspreport -tier -experiment tier-smoke -quiet >/dev/null
-# Joint-search stage. Three gates:
+# Joint-search stage. Two gates:
 #   (1) worker-count independence: the bnb and joint strategies' printed
 #       plan lists (the pools the report's placement and joint decisions
 #       rank) must be byte-identical at -jobs 1 and -jobs 8 (the search
 #       splits its assignment tree across workers; the merge must not leak
 #       scheduling order);
-#   (2) the joint B&B determinism test under the race detector;
-#   (3) dspreport's joint-smoke experiment, which simulates EVERY
-#       top-ranked joint configuration for two rows and exits non-zero if
-#       the screened-vs-measured rank correlation falls below tau = 0.90
-#       or the joint winner regresses below the placement-only winner.
+#   (2) the joint B&B determinism test under the race detector.
 go build -o "$BENCH_DIR/dspplace" ./cmd/dspplace
 for strategy in bnb joint; do
   (cd "$BENCH_DIR" && ./dspplace -app wc -system storm -strategy "$strategy" -scale 2 -batch 8 -jobs 1 > "${strategy}_j1.txt")
@@ -132,21 +134,13 @@ for strategy in bnb joint; do
   diff "$BENCH_DIR/${strategy}_j1.txt" "$BENCH_DIR/${strategy}_j8.txt" || { echo "ci: $strategy search output differs across -jobs" >&2; exit 1; }
 done
 go test -race -run 'TestSearchJointDeterministicAcrossWorkers' -count=1 ./internal/place/
-go run ./cmd/dspreport -experiment joint-smoke -quiet >/dev/null
-# Tail stage. Three gates:
-#   (1) bench.TailSmoke (via dspreport): on a deliberately backpressured
-#       open-loop cell, the coordinated-omission-corrected p99 must not
-#       fall below the uncorrected ablation, the per-root execute
-#       attribution must stay a nonzero subset of hw.Machine's
-#       ChargedCycles ledger, and the traced run must reproduce the
-#       memoized run's latency distribution bit-for-bit;
-#   (2) an open-loop every-tuple traced run must produce the artifacts;
-#   (3) dsptrace -tail must recompute the worst tuple trees from raw
+# Tail stage. Two gates:
+#   (1) an open-loop every-tuple traced run must produce the artifacts;
+#   (2) dsptrace -tail must recompute the worst tuple trees from raw
 #       trace.json events and match summary.json's digest exactly
 #       (it exits non-zero on any field mismatch). Run at k=5 (the digest
 #       depth) and k=2 (fewer rows than the digest): the cross-check must
 #       cover the full digest either way.
-go run ./cmd/dspreport -experiment tail-smoke -quiet >/dev/null
 (cd "$BENCH_DIR" && ./dspbench -app wc -system storm -sockets 1 -rate 150000 -quiet -profile=false -trace tail_trace -trace-every 1 -trace-cadence -1 >/dev/null)
 go run ./cmd/dsptrace -tail 5 "$BENCH_DIR/tail_trace" >/dev/null
 go run ./cmd/dsptrace -tail 2 "$BENCH_DIR/tail_trace" >/dev/null

@@ -26,10 +26,6 @@ type experiment struct {
 	id   string
 	desc string
 	run  func() (string, error)
-	// explicitOnly experiments run only when -experiment names them
-	// (tier-smoke re-simulates its sweep exhaustively as a cross-check,
-	// which a full report should not pay for).
-	explicitOnly bool
 }
 
 // experiments lists the report's experiments. Those that make model
@@ -85,12 +81,6 @@ func experiments(tier bool, val *[]bench.Validation) []experiment {
 			}
 			return bench.SpecMatrixTable(r), nil
 		}},
-		experiment{id: "tier-smoke", desc: "fast-tier CI gate: verified-row identity and rank-tau (runs only when selected)",
-			run: func() (string, error) {
-				out, v, err := bench.TierSmoke()
-				*val = append(*val, v)
-				return out, err
-			}, explicitOnly: true},
 	)
 }
 
@@ -175,12 +165,6 @@ func baseExperiments(val *[]bench.Validation) []experiment {
 			*val = append(*val, v...)
 			return bench.JointTable(rows), nil
 		}},
-		{id: "joint-smoke", desc: "joint-search CI gate: exhaustive candidate simulation and rank-tau (runs only when selected)",
-			run: func() (string, error) {
-				out, v, err := bench.JointSmoke()
-				*val = append(*val, v...)
-				return out, err
-			}, explicitOnly: true},
 		{id: "gc", desc: "G1 vs parallelGC overhead (§V-D)", run: func() (string, error) {
 			rows, err := bench.GCStudy(apps.BenchmarkNames())
 			if err != nil {
@@ -245,8 +229,6 @@ func baseExperiments(val *[]bench.Validation) []experiment {
 			}
 			return bench.TailTable(rows), nil
 		}},
-		{id: "tail-smoke", desc: "tail CI gate: coordinated-omission ordering and ledger reconciliation (runs only when selected)",
-			run: bench.TailSmoke, explicitOnly: true},
 	}
 }
 
@@ -389,9 +371,6 @@ func main() {
 	ran := 0
 	for _, e := range exps {
 		if *pick != "" && e.id != *pick {
-			continue
-		}
-		if *pick == "" && e.explicitOnly {
 			continue
 		}
 		out, err := e.run()

@@ -33,7 +33,6 @@ func (f *fakeCtx) Parallelism() int        { return 1 }
 func (f *fakeCtx) OperatorName() string    { return "test" }
 func (f *fakeCtx) Work(uops, branches int) {}
 func (f *fakeCtx) AccessState(bytes int)   {}
-func (f *fakeCtx) ScanState(bytes int)     {}
 func (f *fakeCtx) ScanScratch(bytes int)   {}
 func (f *fakeCtx) Rand() *rand.Rand        { return f.rng }
 func (f *fakeCtx) Input() (string, string) { return f.inOp, f.inStream }

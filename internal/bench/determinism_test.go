@@ -9,8 +9,9 @@ import (
 
 // assertIdentical fails unless two results of the same cell are
 // bit-identical in everything deterministic: profiler totals and per-bucket
-// costs, throughput inputs, sink counts, GC activity, latency quantiles, and
-// the kernel's event and the machine's operation counts.
+// costs, the charged-cycle ledger, throughput inputs, sink counts, CPU and
+// memory utilization, GC activity, latency quantiles and mean, and the
+// kernel's event and the machine's operation counts.
 func assertIdentical(t *testing.T, label string, a, b *engine.Result) {
 	t.Helper()
 	if a.Events != b.Events || a.Ops != b.Ops {
@@ -21,6 +22,12 @@ func assertIdentical(t *testing.T, label string, a, b *engine.Result) {
 	}
 	if a.Profile.Total() != b.Profile.Total() {
 		t.Errorf("%s: profiler totals differ: %d vs %d", label, a.Profile.Total(), b.Profile.Total())
+	}
+	if a.ChargedCycles != b.ChargedCycles {
+		t.Errorf("%s: charged cycles differ: %d vs %d", label, a.ChargedCycles, b.ChargedCycles)
+	}
+	if a.CPUUtil != b.CPUUtil || a.MemUtil != b.MemUtil {
+		t.Errorf("%s: utilization differs: cpu %v/%v, mem %v/%v", label, a.CPUUtil, b.CPUUtil, a.MemUtil, b.MemUtil)
 	}
 	if a.SourceEvents != b.SourceEvents || a.SinkEvents != b.SinkEvents {
 		t.Errorf("%s: event counts differ: %d/%d vs %d/%d", label,
@@ -41,6 +48,9 @@ func assertIdentical(t *testing.T, label string, a, b *engine.Result) {
 			t.Errorf("%s: latency p%v differs: %v vs %v", label, q*100,
 				a.Latency.Quantile(q), b.Latency.Quantile(q))
 		}
+	}
+	if a.Latency.Mean() != b.Latency.Mean() {
+		t.Errorf("%s: latency mean differs: %v vs %v", label, a.Latency.Mean(), b.Latency.Mean())
 	}
 }
 

@@ -753,7 +753,7 @@ func PlacementAblation(appNames []string) ([]PlacementAblationRow, error) {
 	var cells []Cell
 	for _, app := range appNames {
 		for _, sys := range Systems {
-			topo, err := apps.Build(app, apps.Config{Events: Cell{App: app}.Events(), Seed: 1, Scale: 4})
+			topo, err := Cell{App: app, Scale: 4}.Topology()
 			if err != nil {
 				return nil, err
 			}

@@ -23,7 +23,7 @@ var defaultJobs atomic.Int64
 func init() { defaultJobs.Store(int64(runtime.NumCPU())) }
 
 // SetJobs sets the worker budget used by the sweeps in this package.
-// Values below 1 select sequential execution.
+// Values below 1 select one worker.
 func SetJobs(n int) {
 	if n < 1 {
 		n = 1
@@ -34,49 +34,38 @@ func SetJobs(n int) {
 // Jobs returns the current sweep worker budget.
 func Jobs() int { return int(defaultJobs.Load()) }
 
-// RunCells executes the cells on a pool of jobs workers and returns the
-// results in input order. Each cell's result is identical to what a
-// sequential Run(cell) produces (the determinism test pins this). On
-// failure the first error in cell order is returned; remaining cells still
-// run to completion.
+// RunCells executes the cells on a pool of jobs workers (at least one)
+// and returns the results in input order; a single worker runs the cells
+// in input order. Each cell's result is identical to what a sequential
+// Run(cell) produces (the determinism test pins this). On failure the
+// first error in cell order is returned; remaining cells still run to
+// completion.
 func RunCells(cells []Cell, jobs int) ([]CellResult, error) {
 	out := make([]CellResult, len(cells))
 	errs := make([]error, len(cells))
-	if jobs > len(cells) {
-		jobs = len(cells)
-	}
 	meter := newProgressMeter(len(cells))
-	if jobs <= 1 {
-		for i, c := range cells {
-			res, err := Run(c)
-			out[i] = CellResult{Cell: c, Res: res}
-			errs[i] = err
-			meter.tick()
-		}
-	} else {
-		// Concurrency audit: the only cross-worker state is the atomic
-		// claim cursor; out/errs are written at distinct claimed indices,
-		// and wg.Wait is the release barrier before anyone reads them.
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < jobs; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(cells) {
-						return
-					}
-					res, err := Run(cells[i])
-					out[i] = CellResult{Cell: cells[i], Res: res}
-					errs[i] = err
-					meter.tick()
+	// Concurrency audit: the only cross-worker state is the atomic claim
+	// cursor; out/errs are written at distinct claimed indices, and
+	// wg.Wait is the release barrier before anyone reads them.
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(max(jobs, 1), len(cells)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(cursor.Add(1)) - 1
+				if i >= len(cells) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				res, err := Run(cells[i])
+				out[i] = CellResult{Cell: cells[i], Res: res}
+				errs[i] = err
+				meter.tick()
+			}
+		}()
 	}
+	wg.Wait()
 	meter.finish()
 	for i, err := range errs {
 		if err != nil {

@@ -188,15 +188,16 @@ func ValidationTable(vals []Validation) string {
 	return b.String()
 }
 
-// Calibrate runs — or recalls from the memo — the calibration probe of a
-// four-socket (app, system, scale) row: the unplaced batch-1 run on the
-// full baseline machine, which is also the Fig 14 normalization cell. It
+// Calibrate runs — or recalls from the memo — the calibration probe
+// (ProbeCell) of a four-socket (app, system, scale) row: the unplaced
+// batch-1 run on the full baseline machine, which is also the Fig 14
+// normalization cell. It
 // calibrates the placement cost model on the probe, adjusts it
 // analytically to batch (no second probe), and binds it to the topology's
 // operator structure for joint search; Workload.Model is the placement
 // model.
 func Calibrate(app, system string, batch, scale int) (*place.Workload, error) {
-	probe := Cell{App: app, System: system, Sockets: 4, Scale: scale, BatchSize: 1}
+	probe := ProbeCell(Cell{App: app, System: system, Scale: scale})
 	topo, err := probe.Topology()
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"streamscale/internal/hw"
 	"streamscale/internal/sim"
 	"streamscale/internal/trace"
 )
@@ -146,91 +145,4 @@ func TailTable(rows []TailRow) string {
 			r.WorstMs, r.Dominant, r.DominantMs)
 	}
 	return b.String()
-}
-
-// TailSmoke is the CI gate for the tail stack. On a deliberately
-// backpressured open-loop cell (offered rate 2x the saturated throughput)
-// it asserts:
-//
-//  1. the coordinated-omission gate: corrected p99 >= uncorrected p99 —
-//     forgiving backpressure stalls can only shrink reported latency;
-//  2. attribution reconciles with the cycle ledger: the traced run is
-//     lossless (folded == ChargedCycles, the conservation invariant), every
-//     per-root execute account is a subset of the ledger, and the worst
-//     tuple's attribution is nonzero with a named dominant stall;
-//  3. the traced run reproduces the memoized run's latency distribution
-//     bit-for-bit (tracing is a pure observer).
-//
-// It returns a short human-readable digest for the CI log.
-func TailSmoke() (string, error) {
-	base := Cell{App: "wc", System: "storm", Sockets: 1, EventScale: 0.25}
-	sat, err := Run(base)
-	if err != nil {
-		return "", err
-	}
-	rate := sat.Throughput().PerSecond() * 2 // guaranteed backpressure
-	cell := base
-	cell.SourceRate = rate
-	cell.LatencySampleEvery = 1
-
-	corrected, err := Run(cell)
-	if err != nil {
-		return "", err
-	}
-	ablated := cell
-	ablated.COUncorrected = true
-	uncorrected, err := Run(ablated)
-	if err != nil {
-		return "", err
-	}
-	cp99, up99 := corrected.Latency.Quantile(0.99), uncorrected.Latency.Quantile(0.99)
-	if cp99 < up99 {
-		return "", fmt.Errorf("coordinated-omission gate: corrected p99 %.3f ms < uncorrected %.3f ms", cp99, up99)
-	}
-
-	tr := trace.New(trace.Config{SampleEvery: 1, QueueCadence: -1})
-	traced, err := RunTraced(cell, tr)
-	if err != nil {
-		return "", err
-	}
-	if folded := tr.FoldedTotal(); folded != traced.ChargedCycles {
-		return "", fmt.Errorf("tail trace not lossless: folded %d cycles vs charged %d", int64(folded), int64(traced.ChargedCycles))
-	}
-	tails := tr.Tails(0)
-	if len(tails) == 0 {
-		return "", fmt.Errorf("tail trace produced no sink-reaching trees")
-	}
-	var attributed sim.Cycles
-	for i := range tails {
-		rec := &tails[i]
-		for bk := hw.Bucket(0); bk < hw.NumBuckets; bk++ {
-			if rec.Buckets[bk] < 0 {
-				return "", fmt.Errorf("root %d: negative %s attribution", rec.Root, bk)
-			}
-		}
-		attributed += rec.Buckets.Total()
-	}
-	if attributed <= 0 || attributed > traced.ChargedCycles {
-		return "", fmt.Errorf("per-root execute attribution %d cycles outside (0, charged %d]",
-			int64(attributed), int64(traced.ChargedCycles))
-	}
-	worst := tails[0]
-	dom, domCycles := worst.Dominant()
-	if dom == "" || domCycles <= 0 || worst.AttributedCycles() <= 0 {
-		return "", fmt.Errorf("worst tuple %d has no attributable stall", worst.Root)
-	}
-	for _, q := range []float64{0.5, 0.99, 0.9999, 1} {
-		if a, b := traced.Latency.Quantile(q), corrected.Latency.Quantile(q); a != b {
-			return "", fmt.Errorf("traced run perturbed latency: Quantile(%v) %v vs %v", q, a, b)
-		}
-	}
-
-	clock := tr.ClockHz()
-	return fmt.Sprintf(
-		"tail-smoke ok: offered 2.0x saturated (%.1f k/s), co-gate p99 %.2f >= %.2f ms, "+
-			"worst root %d %.2f ms dominated by %s (%.2f ms), "+
-			"attribution %d cycles within charged %d, folded lossless",
-		rate/1e3, cp99, up99,
-		worst.Root, sim.Cycles(worst.E2ECycles).Millis(clock), dom, sim.Cycles(domCycles).Millis(clock),
-		int64(attributed), int64(traced.ChargedCycles)), nil
 }

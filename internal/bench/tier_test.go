@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -142,6 +143,67 @@ func TestRunCellsTiered(t *testing.T) {
 	}
 	if again.Validation != run.Validation {
 		t.Fatalf("repeat sweep record %+v, first run %+v", again.Validation, run.Validation)
+	}
+}
+
+// TestTierSmoke gates the fast tier: a small batching sweep (wc, sd on
+// both systems) is run tiered AND exhaustively simulated, then two
+// properties are asserted. (1) Every simulation-verified tier row is
+// bit-identical to an independent direct simulation of the same cell —
+// the tier may skip simulations but can never alter one. (2) The fast
+// tier's ranking over ALL cells (not just verified ones — the full
+// simulations are available here) reaches rank-tau >= 0.90.
+func TestTierSmoke(t *testing.T) {
+	const tauGate = 0.90
+	var groups []TierGroup
+	for _, app := range []string{"wc", "sd"} {
+		for _, sys := range Systems {
+			g := TierGroup{Name: app + "/" + sys}
+			for _, s := range []int{1, 2, 4, 8} {
+				g.Cells = append(g.Cells, Cell{App: app, System: sys, Sockets: 1, BatchSize: s})
+			}
+			groups = append(groups, g)
+		}
+	}
+	run, err := RunCellsTiered("tier-smoke", groups, TierPolicy{Budget: 3, Midpoint: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// (1) Verified-row identity against independent direct simulations.
+	checked := 0
+	for _, cells := range run.Cells {
+		for _, tc := range cells {
+			if tc.Res == nil {
+				continue
+			}
+			direct, err := runDirect(tc.Cell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdentical(t, fmt.Sprintf("verified row %s/%s S=%d vs the full-sim path",
+				tc.Cell.App, tc.Cell.System, tc.Cell.BatchSize), tc.Res, direct)
+			checked++
+		}
+	}
+	t.Logf("%d verified row(s) checked against the full-sim path", checked)
+
+	// (2) Rank-tau over every cell of every group, each simulated through
+	// the memoized pool (shared with the verified rows).
+	all := make([][]Candidate, len(run.Cells))
+	for gi, cells := range run.Cells {
+		for _, tc := range cells {
+			all[gi] = append(all[gi], Candidate{Cell: tc.Cell, Predicted: tc.Predicted})
+		}
+		if err := verify(all[gi]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sweep Validation
+	sweep.score(nil, all...)
+	t.Logf("full-sweep rank-tau %.2f over %d pairs (gate >= %.2f)", sweep.RankTau, sweep.Pairs, tauGate)
+	if sweep.RankTau < tauGate {
+		t.Fatalf("rank-tau %.2f below gate %.2f", sweep.RankTau, tauGate)
 	}
 }
 

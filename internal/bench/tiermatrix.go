@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"streamscale/internal/apps"
-	"streamscale/internal/engine"
 	"streamscale/internal/hw"
 )
 
@@ -274,102 +273,4 @@ func SpecMatrixTable(run *TierRun) string {
 		}
 	}
 	return b.String()
-}
-
-// --- the CI smoke sweep ----------------------------------------------------
-
-// TierSmoke is the ci.sh gate for the fast tier: a small batching sweep
-// (wc, sd on both systems) is run tiered AND exhaustively simulated, then
-// two properties are asserted. (1) Every simulation-verified tier row is
-// bit-identical to an independent direct simulation of the same cell —
-// the tier may skip simulations but can never alter one. (2) The fast
-// tier's ranking over ALL cells (not just verified ones — the full
-// simulations are available here) reaches rank-tau >= 0.90. Either
-// failure returns an error, which dspreport turns into a non-zero exit.
-// The second return value is the tiered sweep's own record.
-func TierSmoke() (string, Validation, error) {
-	const tauGate = 0.90
-	sizes := []int{1, 2, 4, 8}
-	var groups []TierGroup
-	for _, app := range []string{"wc", "sd"} {
-		for _, sys := range Systems {
-			g := TierGroup{Name: app + "/" + sys}
-			for _, s := range sizes {
-				g.Cells = append(g.Cells, Cell{App: app, System: sys, Sockets: 1, BatchSize: s})
-			}
-			groups = append(groups, g)
-		}
-	}
-	run, err := RunCellsTiered("tier-smoke", groups, TierPolicy{Budget: 3, Midpoint: true})
-	if err != nil {
-		return "", Validation{}, err
-	}
-
-	// (1) Verified-row identity against independent direct simulations.
-	checked := 0
-	for gi := range run.Cells {
-		for _, tc := range run.Cells[gi] {
-			if tc.Res == nil {
-				continue
-			}
-			direct, err := runDirect(tc.Cell)
-			if err != nil {
-				return "", Validation{}, err
-			}
-			if err := sameResult(tc.Res, direct); err != nil {
-				return "", Validation{}, fmt.Errorf("tier-smoke: verified row %s/%s S=%d differs from the full-sim path: %w",
-					tc.Cell.App, tc.Cell.System, tc.Cell.BatchSize, err)
-			}
-			checked++
-		}
-	}
-
-	// (2) Rank-tau over every cell of every group, each simulated through
-	// the memoized pool (shared with the verified rows).
-	all := make([][]Candidate, len(run.Cells))
-	for gi, cells := range run.Cells {
-		for _, tc := range cells {
-			all[gi] = append(all[gi], Candidate{Cell: tc.Cell, Predicted: tc.Predicted})
-		}
-		if err := verify(all[gi]); err != nil {
-			return "", Validation{}, err
-		}
-	}
-	var sweep Validation
-	sweep.score(nil, all...)
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "tier-smoke: %d verified row(s) bit-identical to the full-sim path\n", checked)
-	fmt.Fprintf(&b, "tier-smoke: full-sweep rank-tau %.2f over %d pairs (gate >= %.2f)\n", sweep.RankTau, sweep.Pairs, tauGate)
-	if sweep.RankTau < tauGate {
-		return b.String(), run.Validation, fmt.Errorf("tier-smoke: rank-tau %.2f below gate %.2f", sweep.RankTau, tauGate)
-	}
-	b.WriteString("tier-smoke: PASS\n")
-	return b.String(), run.Validation, nil
-}
-
-// sameResult compares the fields a benchmark row is built from, bit for
-// bit; any difference is an error naming the field.
-func sameResult(a, b *engine.Result) error {
-	type cmp struct {
-		name string
-		a, b float64
-	}
-	checks := []cmp{
-		{"source_events", float64(a.SourceEvents), float64(b.SourceEvents)},
-		{"elapsed_s", a.ElapsedSeconds, b.ElapsedSeconds},
-		{"charged_cycles", float64(a.ChargedCycles), float64(b.ChargedCycles)},
-		{"throughput", a.Throughput().PerSecond(), b.Throughput().PerSecond()},
-		{"latency_p50", a.Latency.Quantile(0.5), b.Latency.Quantile(0.5)},
-		{"latency_p99", a.Latency.Quantile(0.99), b.Latency.Quantile(0.99)},
-		{"latency_mean", a.Latency.Mean(), b.Latency.Mean()},
-		{"cpu_util", a.CPUUtil, b.CPUUtil},
-		{"mem_util", a.MemUtil, b.MemUtil},
-	}
-	for _, c := range checks {
-		if c.a != c.b {
-			return fmt.Errorf("%s: %v != %v", c.name, c.a, c.b)
-		}
-	}
-	return nil
 }

@@ -86,7 +86,6 @@ type costHook interface {
 	// The costs an operator reports through Context.
 	work(uops, branches int)
 	accessState(bytes int)
-	scanState(bytes int)
 	scanScratch(bytes int)
 }
 
@@ -699,7 +698,7 @@ func (e *executor) OperatorName() string    { return e.node.Name }
 func (e *executor) Rand() *rand.Rand        { return e.rng }
 func (e *executor) Input() (string, string) { return e.inOp, e.inStream }
 
-// Work, AccessState, ScanState and ScanScratch report an operator's costs
+// Work, AccessState and ScanScratch report an operator's costs
 // to the cost hook, per tuple on both runtimes.
 //
 //dsp:hotpath
@@ -707,9 +706,6 @@ func (e *executor) Work(uops, branches int) { e.cost.work(uops, branches) }
 
 //dsp:hotpath
 func (e *executor) AccessState(bytes int) { e.cost.accessState(bytes) }
-
-//dsp:hotpath
-func (e *executor) ScanState(bytes int) { e.cost.scanState(bytes) }
 
 //dsp:hotpath
 func (e *executor) ScanScratch(bytes int) { e.cost.scanScratch(bytes) }

@@ -48,10 +48,6 @@ type Context interface {
 	// AccessState charges random accesses touching the given number of
 	// bytes of the executor's private state region.
 	AccessState(bytes int)
-	// ScanState charges a sequential, bandwidth-bound sweep over the given
-	// number of bytes of the executor's state region (e.g. a brute-force
-	// scan of a large lookup table).
-	ScanState(bytes int)
 	// ScanScratch charges a sequential sweep over a per-executor private
 	// scratch region (working buffers that are always node-local), sized
 	// by the largest sweep requested.

@@ -300,9 +300,6 @@ func (freeWork) work(int, int) {}
 func (freeWork) accessState(int) {}
 
 //dsp:hotpath
-func (freeWork) scanState(int) {}
-
-//dsp:hotpath
 func (freeWork) scanScratch(int) {}
 
 // send pushes one message, blocking (and eventually parking) when the

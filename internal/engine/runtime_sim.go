@@ -769,18 +769,6 @@ func (d *simDriver) accessState(bytes int) {
 }
 
 //dsp:hotpath
-func (d *simDriver) scanState(bytes int) {
-	max := d.ex.node.Profile.StateBytes
-	if max <= 0 || bytes <= 0 {
-		return
-	}
-	if bytes > max {
-		bytes = max
-	}
-	d.consumed += d.rt.machine.StreamAccess(d.curCore, d.stateBase, bytes, d.nowCycles(), &d.costs)
-}
-
-//dsp:hotpath
 func (d *simDriver) scanScratch(bytes int) {
 	if bytes <= 0 {
 		return

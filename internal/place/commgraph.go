@@ -1,16 +1,3 @@
-// Package core implements the paper's two optimizations for stream
-// processing on multi-socket machines (§VI):
-//
-//   - Non-blocking tuple batching (Algorithm 1) is implemented inside the
-//     engine's output collector (package engine routes each invocation's
-//     emissions as per-destination batches); this package provides the
-//     policy layer: choosing the batch size and analyzing its effect.
-//
-//   - NUMA-aware executor placement: the communication-cost model of
-//     Definition 2 (Equation 1), the mapping of an execution graph to a
-//     weighted graph (Definition 4), a min-k-cut solver, and a
-//     capacity-constrained partitioner that produces placements for
-//     k = 1..#sockets for performance-based selection, as §VI-B describes.
 package place
 
 import (

@@ -27,7 +27,8 @@ import (
 // Uncertainty weights: one unit of "analytical distance" per extrapolation
 // the estimate takes beyond what the probe measured. The relative order is
 // what matters (spec retarget > slice change > batch step), calibrated so
-// the tier-smoke sweep's worst cells rank above its best-understood ones.
+// the worst cells of bench's TestTierSmoke sweep rank above its
+// best-understood ones.
 const (
 	uncPerBatchDoubling = 0.03 // batch moved 2x away from the probe's
 	uncSpecRetarget     = 0.15 // machine spec re-priced analytically

@@ -1,9 +1,22 @@
-// Package place implements model-guided NUMA placement search: a
-// calibrated analytical cost model over per-executor compute demand,
-// remote-memory penalties, and interconnect bandwidth, and a deterministic
-// branch-and-bound search over full per-executor socket assignments
-// (BriskStream's relative-rate approach, built on this repo's cycle-exact
-// probe simulations instead of hardware profiling runs).
+// Package place implements NUMA-aware executor placement for multi-socket
+// machines (§VI-B) and the model-guided search built on it:
+//
+//   - the paper's placement: the communication-cost model of Definition 2
+//     (Equation 1), the mapping of an execution graph to a weighted graph
+//     (Definition 4), a min-k-cut solver, and a capacity-constrained
+//     partitioner that produces placements for k = 1..#sockets for
+//     performance-based selection;
+//   - model-guided placement search: a calibrated analytical cost model
+//     over per-executor compute demand, remote-memory penalties, and
+//     interconnect bandwidth, and a deterministic branch-and-bound search
+//     over full per-executor socket assignments (BriskStream's
+//     relative-rate approach, built on this repo's cycle-exact probe
+//     simulations instead of hardware profiling runs), which the joint
+//     search extends to executor counts.
+//
+// The paper's other optimization, non-blocking tuple batching (§VI-A,
+// Algorithm 1), runs inside the engine's output collector; this package
+// holds only the batch sizes the experiments use.
 //
 // The model is calibrated from ONE profiled probe simulation per
 // (app, system, batch): engine.Result's per-executor Table II cost vectors

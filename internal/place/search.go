@@ -20,7 +20,7 @@ type Candidate struct {
 // independent subtrees at executor depth splitDepth, and each subtree
 // expands at most nodeBudget nodes, so the search degrades gracefully on
 // wide graphs instead of exploding. Every search — placement, each joint
-// vector, the joint-smoke sweep — runs at this budget.
+// vector, bench's TestJointSmoke sweep — runs at this budget.
 const (
 	nodeBudget = 4000
 	splitDepth = 2
