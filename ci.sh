@@ -56,6 +56,11 @@ if grep -q smoke "$BENCH_DIR/list.txt" "$BENCH_DIR/tier_list.txt"; then
   echo "ci: dspreport lists a smoke experiment:" >&2; grep smoke "$BENCH_DIR/list.txt" "$BENCH_DIR/tier_list.txt" >&2; exit 1
 fi
 grep -q '^  tier-specs ' "$BENCH_DIR/tier_list.txt" || { echo "ci: dspreport -tier -list lacks tier-specs" >&2; exit 1; }
+# Every experiment either list prints has a row in DESIGN.md's
+# per-experiment index that names its -experiment ID.
+for id in $(awk 'FNR > 1 {print $1}' "$BENCH_DIR/list.txt" "$BENCH_DIR/tier_list.txt" | sort -u); do
+  grep -Eq "^\|.*-experiment $id[\` ]" DESIGN.md || { echo "ci: DESIGN.md's experiment index has no -experiment $id row" >&2; exit 1; }
+done
 # Report stage: a cold full report (no -cache, default -jobs) must print
 # exactly the committed report_output.txt. The report is deterministic at
 # any worker count, so any difference is a changed result: regenerate and
@@ -68,7 +73,7 @@ grep -q '^  tier-specs ' "$BENCH_DIR/tier_list.txt" || { echo "ci: dspreport -ti
 # report_output.txt.
 go run ./cmd/dspreport > "$BENCH_DIR/report.txt" 2> "$BENCH_DIR/report.err"
 diff -u report_output.txt "$BENCH_DIR/report.txt" || { echo "ci: dspreport output differs from report_output.txt" >&2; exit 1; }
-grep -q '326 simulated, 327 deduped, 0 from cache' "$BENCH_DIR/report.err" || { echo "ci: dspreport memo counts moved:" >&2; cat "$BENCH_DIR/report.err" >&2; exit 1; }
+grep -q '312 simulated, 313 deduped, 0 from cache' "$BENCH_DIR/report.err" || { echo "ci: dspreport memo counts moved:" >&2; cat "$BENCH_DIR/report.err" >&2; exit 1; }
 go build -o "$BENCH_DIR/dspbench" ./cmd/dspbench
 (cd "$BENCH_DIR" && ./dspbench -app wc -system storm -batch 8 -quiet -json >/dev/null)
 (cd "$BENCH_DIR" && ./dspbench -app lr -system flink -batch 8 -quiet -json >/dev/null)
@@ -106,15 +111,18 @@ go test -run 'TestRingTransferZeroAllocs|TestRingMsgTransferZeroAllocs|TestNativ
 # Fuzz stage: FuzzCacheMatchesReference holds hw.Cache to the tick-scan LRU
 # cache it replaced (internal/hw/cache_ref_test.go) on every hit, miss, way
 # index and counter, FuzzBloomMatchesDense holds the sparse decaying Bloom
-# filter to a dense one on every estimate (internal/apps/bloom_test.go), and
+# filter to a dense one on every estimate (internal/apps/bloom_test.go),
 # FuzzHistogramGobDecode requires a decoded histogram, which the memo cache
 # reads from disk, to be an error or readable without a panic
-# (internal/metrics/gob_test.go). The test runs above replay their committed
-# corpora (testdata/fuzz in each package); this explores new inputs for a
-# fixed time.
+# (internal/metrics/gob_test.go), and FuzzMPSCMatchesReference holds an
+# MPSC's lanes to slice queues on every push, pop, lane index and length
+# (internal/ring/mpsc_fuzz_test.go). The test runs above replay their
+# committed corpora (testdata/fuzz in each package); this explores new
+# inputs for a fixed time.
 go test -run '^$' -fuzz '^FuzzCacheMatchesReference$' -fuzztime 20s ./internal/hw/
 go test -run '^$' -fuzz '^FuzzBloomMatchesDense$' -fuzztime 10s ./internal/apps/
 go test -run '^$' -fuzz '^FuzzHistogramGobDecode$' -fuzztime 10s ./internal/metrics/
+go test -run '^$' -fuzz '^FuzzMPSCMatchesReference$' -fuzztime 10s ./internal/ring/
 # Ring stress stage: the high-iteration SPSC/MPSC protocol hammer under the
 # race detector (skipped without DSP_STRESS so plain `go test ./...` stays
 # fast). Sequence checks catch lost/reordered items; -race catches the

@@ -215,13 +215,6 @@ func baseExperiments(val *[]bench.Validation) []experiment {
 			}
 			return bench.ChainingTable(rows), nil
 		}},
-		{id: "uopcache-ablation", desc: "decoded-µop cache on/off (§V-B)", run: func() (string, error) {
-			rows, err := bench.UopCacheAblation(apps.BenchmarkNames())
-			if err != nil {
-				return "", err
-			}
-			return bench.UopCacheTable(rows), nil
-		}},
 		{id: "tail", desc: "extension: p99.99 tail latency with worst-tuple stall attribution", run: func() (string, error) {
 			rows, err := bench.TailStudy([]string{"wc", "sd"})
 			if err != nil {

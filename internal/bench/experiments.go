@@ -24,21 +24,41 @@ type CellResult struct {
 	Res  *engine.Result
 }
 
-// Sweep runs one cell per (app x system) with a common configuration
-// mutation and returns results in deterministic order. Cells execute on
-// the package worker pool (see RunCells / SetJobs).
-func Sweep(appNames []string, mutate func(*Cell)) ([]CellResult, error) {
+// Sweep runs one single-socket cell per (app x system) and returns results
+// in deterministic order. Cells execute on the package worker pool (see
+// RunCells / SetJobs).
+func Sweep(appNames []string) ([]CellResult, error) {
+	return runCells(singleSocket(appNames, Cell{}))
+}
+
+// singleSocket returns, per app x system in order, each of the given cells
+// with the app and system filled in, on one socket.
+func singleSocket(appNames []string, variants ...Cell) []Cell {
 	var cells []Cell
 	for _, app := range appNames {
 		for _, sys := range Systems {
-			c := Cell{App: app, System: sys, Sockets: 1}
-			if mutate != nil {
-				mutate(&c)
+			for _, c := range variants {
+				c.App, c.System, c.Sockets = app, sys, 1
+				cells = append(cells, c)
 			}
-			cells = append(cells, c)
 		}
 	}
-	return runCells(cells)
+	return cells
+}
+
+// ablate runs a single-socket ablation: per app x system, in Sweep's order,
+// the base cell and the variant cell, and one row made from their results.
+func ablate[R any](appNames []string, base, variant Cell, row func(app, sys string, base, variant *engine.Result) R) ([]R, error) {
+	results, err := runCells(singleSocket(appNames, base, variant))
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]R, 0, len(results)/2)
+	for i := 0; i < len(results); i += 2 {
+		c := results[i].Cell
+		rows = append(rows, row(c.App, c.System, results[i].Res, results[i+1].Res))
+	}
+	return rows, nil
 }
 
 func (cr CellResult) key() string { return cr.Cell.App + "/" + cr.Cell.System }
@@ -57,7 +77,7 @@ func find(cells []CellResult, app, sys string) *CellResult {
 // SingleSocketStudy runs the seven applications on one socket under both
 // systems; its results feed Fig 6a, Table IV, Fig 7, Fig 8 and Fig 11.
 func SingleSocketStudy() ([]CellResult, error) {
-	return Sweep(apps.BenchmarkNames(), nil)
+	return Sweep(apps.BenchmarkNames())
 }
 
 // Fig6aTable renders absolute throughput per app and system (Figure 6a).
@@ -633,32 +653,13 @@ func GCStudy(appNames []string) ([]GCRow, error) {
 	g1cfg.YoungBytes = 2 << 20
 	pcfg := jvm.Parallel()
 	pcfg.YoungBytes = 2 << 20
-	var cells []Cell
-	for _, app := range appNames {
-		for _, sys := range Systems {
-			cells = append(cells,
-				Cell{App: app, System: sys, Sockets: 1, GC: g1cfg},
-				Cell{App: app, System: sys, Sockets: 1, GC: pcfg})
+	return ablate(appNames, Cell{GC: g1cfg}, Cell{GC: pcfg}, func(app, sys string, g1, par *engine.Result) GCRow {
+		return GCRow{
+			App: app, System: sys,
+			G1Share: g1.GCShare, ParShare: par.GCShare,
+			G1Minor: g1.MinorGCs, ParMinor: par.MinorGCs,
 		}
-	}
-	results, err := runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	var out []GCRow
-	i := 0
-	for _, app := range appNames {
-		for _, sys := range Systems {
-			g1, par := results[i].Res, results[i+1].Res
-			i += 2
-			out = append(out, GCRow{
-				App: app, System: sys,
-				G1Share: g1.GCShare, ParShare: par.GCShare,
-				G1Minor: g1.MinorGCs, ParMinor: par.MinorGCs,
-			})
-		}
-	}
-	return out, nil
+	})
 }
 
 // GCTable renders the collector comparison.
@@ -684,7 +685,6 @@ type HugePagesRow struct {
 
 // HugePages measures the §V-D finding that huge pages help only marginally.
 func HugePages(appNames []string) ([]HugePagesRow, error) {
-	var out []HugePagesRow
 	tlbShare := func(r *engine.Result) float64 {
 		t := float64(r.Profile.Total())
 		if t == 0 {
@@ -692,32 +692,14 @@ func HugePages(appNames []string) ([]HugePagesRow, error) {
 		}
 		return (float64(r.Profile.Costs[hw.FeITLB]) + float64(r.Profile.Costs[hw.BeDTLB])) / t
 	}
-	var cells []Cell
-	for _, app := range appNames {
-		for _, sys := range Systems {
-			cells = append(cells,
-				Cell{App: app, System: sys, Sockets: 1},
-				Cell{App: app, System: sys, Sockets: 1, HugePages: true})
+	return ablate(appNames, Cell{}, Cell{HugePages: true}, func(app, sys string, small, big *engine.Result) HugePagesRow {
+		return HugePagesRow{
+			App: app, System: sys,
+			TLB4K:   tlbShare(small),
+			TLB2M:   tlbShare(big),
+			Speedup: big.Throughput().PerSecond() / small.Throughput().PerSecond(),
 		}
-	}
-	results, err := runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	for _, app := range appNames {
-		for _, sys := range Systems {
-			small, big := results[i].Res, results[i+1].Res
-			i += 2
-			out = append(out, HugePagesRow{
-				App: app, System: sys,
-				TLB4K:   tlbShare(small),
-				TLB2M:   tlbShare(big),
-				Speedup: big.Throughput().PerSecond() / small.Throughput().PerSecond(),
-			})
-		}
-	}
-	return out, nil
+	})
 }
 
 // HugePagesTable renders the huge-pages comparison.
@@ -806,62 +788,6 @@ func PlacementAblationTable(rows []PlacementAblationRow) string {
 	return b.String()
 }
 
-// --- Ablation: decoded-µop cache (D-ICache) ------------------------------
-
-// UopCacheRow compares throughput with and without the decoded-µop cache.
-// §V-B predicts near-parity: the hot paths far exceed the D-ICache's
-// 1.5 kµop capacity and every L1I miss invalidates it, so the accelerator
-// cannot engage on these workloads.
-type UopCacheRow struct {
-	App, System string
-	// Slowdown is throughput-without / throughput-with (~1.0 per §V-B).
-	Slowdown float64
-	// DecodeShare4K is the I-decoding share of front-end stalls without
-	// the µop cache.
-	DecodeShareOff float64
-}
-
-// UopCacheAblation quantifies what the D-ICache buys the studied designs.
-func UopCacheAblation(appNames []string) ([]UopCacheRow, error) {
-	var cells []Cell
-	for _, app := range appNames {
-		for _, sys := range Systems {
-			cells = append(cells,
-				Cell{App: app, System: sys, Sockets: 1},
-				Cell{App: app, System: sys, Sockets: 1, NoUopCache: true})
-		}
-	}
-	results, err := runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	var out []UopCacheRow
-	i := 0
-	for _, app := range appNames {
-		for _, sys := range Systems {
-			with, without := results[i].Res, results[i+1].Res
-			i += 2
-			out = append(out, UopCacheRow{
-				App: app, System: sys,
-				Slowdown:       without.Throughput().PerSecond() / with.Throughput().PerSecond(),
-				DecodeShareOff: without.Profile.FrontEnd().IDecoding,
-			})
-		}
-	}
-	return out, nil
-}
-
-// UopCacheTable renders the D-ICache ablation.
-func UopCacheTable(rows []UopCacheRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation — decoded-µop cache (D-ICache) disabled\n")
-	fmt.Fprintf(&b, "%-6s %-6s %18s %16s\n", "sys", "app", "tp without/with", "decode share off")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6s %-6s %17.2fx %15.1f%%\n", r.System, r.App, r.Slowdown, r.DecodeShareOff*100)
-	}
-	return b.String()
-}
-
 // --- Extension: latency vs offered load ----------------------------------
 
 // LoadLatencyRow is one point of the open-loop latency curve.
@@ -935,31 +861,12 @@ type ChainingRow struct {
 // ChainingAblation measures what task fusion buys on apps with chainable
 // (shuffle, equal-parallelism) hops. Only SD qualifies in the benchmark.
 func ChainingAblation(appNames []string) ([]ChainingRow, error) {
-	var cells []Cell
-	for _, app := range appNames {
-		for _, sys := range Systems {
-			cells = append(cells,
-				Cell{App: app, System: sys, Sockets: 1},
-				Cell{App: app, System: sys, Sockets: 1, Chaining: true})
+	return ablate(appNames, Cell{}, Cell{Chaining: true}, func(app, sys string, plain, chained *engine.Result) ChainingRow {
+		return ChainingRow{
+			App: app, System: sys,
+			Gain: chained.Throughput().PerSecond() / plain.Throughput().PerSecond(),
 		}
-	}
-	results, err := runCells(cells)
-	if err != nil {
-		return nil, err
-	}
-	var out []ChainingRow
-	i := 0
-	for _, app := range appNames {
-		for _, sys := range Systems {
-			plain, chained := results[i].Res, results[i+1].Res
-			i += 2
-			out = append(out, ChainingRow{
-				App: app, System: sys,
-				Gain: chained.Throughput().PerSecond() / plain.Throughput().PerSecond(),
-			})
-		}
-	}
-	return out, nil
+	})
 }
 
 // ChainingTable renders the chaining ablation.

@@ -322,29 +322,6 @@ func TestSweepUnknownSystem(t *testing.T) {
 	}
 }
 
-// D-ICache ablation: §V-B observes that L1I misses invalidate the
-// decoded-µop cache and that hot regions far exceed its 1.5 kµop capacity,
-// so it cannot rescue DSP workloads. Disabling it should therefore change
-// next to nothing (and certainly not speed things up).
-func TestUopCacheAblation(t *testing.T) {
-	rows, err := UopCacheAblation([]string{"wc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.Slowdown < 0.90 || r.Slowdown > 1.02 {
-			t.Errorf("%s/%s: D-ICache off/on throughput = %.2fx; expected ~1.0 (capacity far exceeded)",
-				r.App, r.System, r.Slowdown)
-		}
-		if r.DecodeShareOff < 0.5 {
-			t.Errorf("%s/%s: decode share without µop cache = %.0f%%, expected dominant", r.App, r.System, r.DecodeShareOff*100)
-		}
-	}
-	if s := UopCacheTable(rows); !strings.Contains(s, "D-ICache") {
-		t.Error("ablation table malformed")
-	}
-}
-
 // Extension: the open-loop latency curve must rise toward saturation.
 func TestLoadLatencyCurve(t *testing.T) {
 	rows, err := LoadLatency("wc", "flink", 1)

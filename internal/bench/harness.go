@@ -54,15 +54,13 @@ type Cell struct {
 	GC jvm.Config
 	// HugePages enables 2 MB pages.
 	HugePages bool
-	// NoUopCache disables the decoded-µop cache (D-ICache ablation).
-	NoUopCache bool
 	// Chaining applies Flink-style operator chaining before running.
 	Chaining bool
 	// ParallelismOverride adjusts named operators' executor counts after
 	// the app is built (e.g. the Fig 10 Map-Match sweep).
 	ParallelismOverride map[string]int
 	// Spec selects a named machine-spec variant (hw.Variant; "" = the
-	// Table III baseline). HugePages/NoUopCache compose on top of it.
+	// Table III baseline). HugePages composes on top of it.
 	Spec string
 
 	// SourceRate throttles each source executor to the given event rate
@@ -83,7 +81,7 @@ type Cell struct {
 }
 
 // MachineSpec resolves the cell's machine: the named variant with the
-// HugePages and NoUopCache ablations applied on top.
+// HugePages ablation applied on top.
 func (c Cell) MachineSpec() (hw.MachineSpec, error) {
 	spec, ok := hw.Variant(c.Spec)
 	if !ok {
@@ -91,9 +89,6 @@ func (c Cell) MachineSpec() (hw.MachineSpec, error) {
 	}
 	if c.HugePages {
 		spec = spec.WithHugePages()
-	}
-	if c.NoUopCache {
-		spec.Decode.UopCacheBytes = 0
 	}
 	return spec, nil
 }

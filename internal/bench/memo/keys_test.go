@@ -44,7 +44,6 @@ func TestCanonicalSingleFieldDifferences(t *testing.T) {
 		{"gc-survivor", func(c *bench.Cell) { c.GC = survivor }},
 		{"spec", func(c *bench.Cell) { c.Spec = "turbo" }},
 		{"hugepages", func(c *bench.Cell) { c.HugePages = true }},
-		{"nouopcache", func(c *bench.Cell) { c.NoUopCache = true }},
 		{"chaining", func(c *bench.Cell) { c.Chaining = true }},
 		{"paroverride", func(c *bench.Cell) { c.ParallelismOverride = map[string]int{"split": 2} }},
 		{"paroverride-value", func(c *bench.Cell) { c.ParallelismOverride = map[string]int{"split": 3} }},

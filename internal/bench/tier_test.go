@@ -13,7 +13,7 @@ func TestProbeCell(t *testing.T) {
 		App: "wc", System: "storm",
 		Sockets: 1, Cores: 4, BatchSize: 8, EventScale: 0.5,
 		Placement: map[int]int{0: 1}, Spec: "turbo",
-		Scale: 2, Seed: 7, Chaining: true, NoUopCache: true,
+		Scale: 2, Seed: 7, Chaining: true, HugePages: true,
 	}
 	p := ProbeCell(c)
 	if p.BatchSize != 1 || p.Sockets != 0 || p.Cores != 0 ||
@@ -21,7 +21,7 @@ func TestProbeCell(t *testing.T) {
 		t.Fatalf("probe did not drop modeled axes: %+v", p)
 	}
 	if p.App != c.App || p.System != c.System || p.Scale != c.Scale ||
-		p.Seed != c.Seed || !p.Chaining || !p.NoUopCache {
+		p.Seed != c.Seed || !p.Chaining || !p.HugePages {
 		t.Fatalf("probe dropped workload identity: %+v", p)
 	}
 	// Every cell of a sweep that varies only modeled axes shares one probe.

@@ -1,9 +1,9 @@
 // Package hw models the processor and memory system of a multi-socket
-// multi-core machine: per-core L1I/L1D/L2 caches and TLBs, a decoded-µop
-// cache, per-socket last-level caches, per-socket DRAM channels, and QPI
-// links between sockets. Every cycle the model charges is attributed to one
-// of the measurement components of Table II in the paper, so an execution
-// can be broken down exactly the way the paper's VTune methodology does.
+// multi-core machine: per-core L1I/L1D/L2 caches and TLBs, per-socket
+// last-level caches, per-socket DRAM channels, and QPI links between
+// sockets. Every cycle the model charges is attributed to one of the
+// measurement components of Table II in the paper, so an execution can be
+// broken down exactly the way the paper's VTune methodology does.
 package hw
 
 import "streamscale/internal/sim"
@@ -22,8 +22,9 @@ const (
 	FeL1I
 	// FeILD is instruction length decoder (and IQ-full) stall time.
 	FeILD
-	// FeIDQ is instruction decode queue stall time (dominated by
-	// decoded-µop-cache misses and switch penalties).
+	// FeIDQ is instruction decode queue stall time (legacy decode of
+	// every fetched block, plus the pipeline switch penalty of L1I
+	// misses).
 	FeIDQ
 	// BeDTLB is back-end stall time due to DTLB misses.
 	BeDTLB

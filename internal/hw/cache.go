@@ -184,15 +184,6 @@ func (c *Cache) Access(block uint64) bool {
 	return hit
 }
 
-// AccessWay is Access that also returns the index of the way now holding
-// the block, in [0, Sets()*Assoc()): a miss filled that way, evicting
-// whatever it held. The machine keys its decoded-µop cache on L1I ways.
-//
-//dsp:hotpath
-func (c *Cache) AccessWay(block uint64) (way int, hit bool) {
-	return c.access(block, 0, false)
-}
-
 // AccessV looks up a block requiring coherence version ver: a resident copy
 // filled at an older version is stale (another core wrote the line since)
 // and counts as a miss, refilled at ver. This is the model's lightweight
@@ -218,7 +209,8 @@ func (c *Cache) WriteAccessV(block uint64, ver uint32) bool {
 // access is the lookup behind every probe: a resident copy at ver (or, for
 // a write, at ver-1) hits, any other resident copy is refilled in place at
 // ver, and an absent block is installed in the set's victim way. Either
-// way the block's way becomes the set's most recently used.
+// way the block's way becomes the set's most recently used. It returns that
+// way's index, in [0, Sets()*Assoc()), and whether the probe hit.
 //
 //dsp:hotpath
 func (c *Cache) access(block uint64, ver uint32, write bool) (wi int, hit bool) {

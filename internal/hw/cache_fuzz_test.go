@@ -90,10 +90,10 @@ func FuzzCacheMatchesReference(f *testing.F) {
 					t.Fatalf("op %d: WriteAccessV(%#x, %d) = %v, reference %v", p/3, block, v, got, want)
 				}
 			case 3:
-				gotW, got := c.AccessWay(block)
-				wantW, want := ref.AccessWay(block)
+				gotW, got := c.access(block, 0, false)
+				wantW, want := ref.access(block, 0)
 				if gotW != wantW || got != want {
-					t.Fatalf("op %d: AccessWay(%#x) = way %d hit %v, reference way %d hit %v", p/3, block, gotW, got, wantW, want)
+					t.Fatalf("op %d: access(%#x, 0) = way %d hit %v, reference way %d hit %v", p/3, block, gotW, got, wantW, want)
 				}
 			case 4:
 				if got, want := c.Access(block), ref.Access(block); got != want {

@@ -2,10 +2,11 @@ package hw
 
 // refCache is the tick-scan LRU cache this package shipped before sets kept
 // LRU ranks, copied unchanged but for its names (and without its sizing
-// helpers): each way stamps its last use with a global tick, a miss scans
-// the set for the first way of least tick, and Reset clears the sets
-// listed as installed into. FuzzCacheMatchesReference holds Cache to its
-// every hit, miss and way index.
+// helpers and its way-returning Access variant): each way stamps its last
+// use with a global tick, a miss scans the set for the first way of least
+// tick, and Reset clears the sets listed as installed into.
+// FuzzCacheMatchesReference holds Cache to its every hit, miss and way
+// index.
 type refCache struct {
 	ways    []refWay // set s holds ways[s*assoc : (s+1)*assoc]
 	setMask uint64
@@ -74,13 +75,6 @@ func (c *refCache) Access(block uint64) bool {
 	return hit
 }
 
-// AccessWay is Access that also returns the index of the way now holding
-// the block, in [0, Sets()*Assoc()): a miss filled that way, evicting
-// whatever it held. The machine keys its decoded-µop cache on L1I ways.
-func (c *refCache) AccessWay(block uint64) (way int, hit bool) {
-	return c.access(block, 0)
-}
-
 // AccessV looks up a block requiring coherence version ver: a resident copy
 // filled at an older version is stale (another core wrote the line since)
 // and counts as a miss, refilled at ver. This is the model's lightweight
@@ -121,7 +115,7 @@ func (c *refCache) WriteAccessV(block uint64, ver uint32) bool {
 	return c.AccessV(block, ver)
 }
 
-// access is the lookup behind Access, AccessWay and AccessV. The victim of
+// access is the lookup behind Access and AccessV. The victim of
 // a miss is the set's first way with the least last-use tick, so empty
 // ways (tick 0) fill in way order before anything is evicted.
 func (c *refCache) access(block uint64, ver uint32) (wi int, hit bool) {

@@ -59,7 +59,6 @@ type Ops struct {
 	StreamCalls uint64 `json:"stream_calls"`
 
 	L1I  Probes `json:"l1i"`
-	Uop  Probes `json:"uop"`
 	L1D  Probes `json:"l1d"`
 	L2   Probes `json:"l2"`
 	LLC  Probes `json:"llc"`
@@ -94,7 +93,6 @@ type coreHW struct {
 	itlb *Cache
 	dtlb *Cache
 	stlb *Cache
-	uop  uopRing // decoded-µop cache, keyed by L1I way
 
 	// Instruction-footprint tracking (Fig 9), indexed by code-region id
 	// (ids are dense): the logical sequence number of each region's last
@@ -104,102 +102,6 @@ type coreHW struct {
 	lastInv []uint64
 	size    []int
 	seen    []uint32
-}
-
-// uopRing is a core's decoded-µop cache (D-ICache): a fully associative
-// LRU cache of instruction blocks, kept as a ring of L1I ways in recency
-// order plus a "has µops" bit per L1I way. It is exact because every entry's
-// block is resident in L1I at all times: an entry is installed only on an
-// L1I hit or right after an L1I fill, it is dropped whenever L1I evicts its
-// block, and code probes use version 0, so L1I never refills a block in
-// place. An L1I way therefore names its entry, and the common case — an L1I
-// hit on an unmarked way, a certain µop miss — costs O(1) instead of a scan
-// of the µop cache. A ring of capacity 0 is a disabled µop cache.
-type uopRing struct {
-	ring   []int32 // L1I ways; ring[(head+i) % len(ring)] is the i-th most recent
-	head   int
-	n      int
-	marked []bool // per L1I way: its block has an entry in ring
-
-	hits, misses uint64
-}
-
-func newUopRing(entries, l1iWays int) uopRing {
-	return uopRing{ring: make([]int32, entries), marked: make([]bool, l1iWays)}
-}
-
-// access looks up the µops of the block in L1I way w after an L1I hit: a
-// hit refreshes the entry's recency, a miss decodes the block and installs
-// it, dropping the least recent entry if the ring is full.
-//
-//dsp:hotpath
-func (r *uopRing) access(w int) bool {
-	if r.marked[w] {
-		r.hits++
-		r.toFront(w)
-		return true
-	}
-	r.misses++
-	r.push(w)
-	return false
-}
-
-// fill installs the µops of a block L1I just filled into way w. If w was
-// marked, the fill evicted the block of w's entry: dropping that entry and
-// pushing the new one is moving w's entry to the front.
-//
-//dsp:hotpath
-func (r *uopRing) fill(w int) {
-	r.misses++
-	if r.marked[w] {
-		r.toFront(w)
-		return
-	}
-	r.push(w)
-}
-
-// push makes unmarked way w the most recent entry; when the ring is full,
-// the new front slot is the least recent entry's, which is dropped.
-//
-//dsp:hotpath
-func (r *uopRing) push(w int) {
-	if len(r.ring) == 0 {
-		return
-	}
-	if r.head--; r.head < 0 {
-		r.head = len(r.ring) - 1
-	}
-	if r.n == len(r.ring) {
-		r.marked[r.ring[r.head]] = false
-	} else {
-		r.n++
-	}
-	r.ring[r.head] = int32(w)
-	r.marked[w] = true
-}
-
-// toFront moves marked way w's entry to the front, shifting the entries
-// more recent than it back by one.
-//
-//dsp:hotpath
-func (r *uopRing) toFront(w int) {
-	p := 0
-	for r.ring[r.slot(p)] != int32(w) {
-		p++
-	}
-	for ; p > 0; p-- {
-		r.ring[r.slot(p)] = r.ring[r.slot(p-1)]
-	}
-	r.ring[r.head] = int32(w)
-}
-
-func (r *uopRing) slot(p int) int { return (r.head + p) % len(r.ring) }
-
-func (r *uopRing) reset() {
-	for p := 0; p < r.n; p++ {
-		r.marked[r.ring[r.slot(p)]] = false
-	}
-	r.head, r.n, r.hits, r.misses = 0, 0, 0, 0
 }
 
 type socketHW struct {
@@ -253,19 +155,15 @@ func (m *Machine) build(n int) {
 		if s.llc == nil {
 			s.llc = CacheFor(spec.LLC.CapacityBytes, spec.LLC.BlockBytes, spec.LLC.Assoc)
 		}
-		l1i := CacheFor(spec.L1I.CapacityBytes, spec.L1I.BlockBytes, spec.L1I.Assoc)
 		m.cores = append(m.cores, &coreHW{
 			id:     c,
 			socket: s.id,
-			l1i:    l1i,
+			l1i:    CacheFor(spec.L1I.CapacityBytes, spec.L1I.BlockBytes, spec.L1I.Assoc),
 			l1d:    CacheFor(spec.L1D.CapacityBytes, spec.L1D.BlockBytes, spec.L1D.Assoc),
 			l2:     CacheFor(spec.L2.CapacityBytes, spec.L2.BlockBytes, spec.L2.Assoc),
 			itlb:   NewCache(pow2Sets(spec.ITLB), spec.ITLB.Assoc),
 			dtlb:   NewCache(pow2Sets(spec.DTLB), spec.DTLB.Assoc),
 			stlb:   NewCache(pow2Sets(spec.STLB), spec.STLB.Assoc),
-			// UopCacheBytes = 0 disables the decoded-µop cache for the
-			// D-ICache ablation: every fetch then pays legacy decode.
-			uop: newUopRing(spec.Decode.UopCacheBytes/spec.L1I.BlockBytes, l1i.Sets()*l1i.Assoc()),
 		})
 	}
 }
@@ -314,8 +212,8 @@ func ReleaseMachine(m *Machine) {
 }
 
 // Reset returns the machine to its just-built state for the cores it has
-// built: every cache, TLB and µop cache empty, no line written, idle
-// channels, no footprint history, a zero ledger and zero counts. A reset
+// built: every cache and TLB empty, no line written, idle channels, no
+// footprint history, a zero ledger and zero counts. A reset
 // machine is indistinguishable from one built for the same cores. Its cost
 // is proportional to the state the machine's runs touched since the last
 // reset, not to its capacity: a cache resets by starting a new generation,
@@ -325,7 +223,6 @@ func (m *Machine) Reset() {
 		for _, cc := range []*Cache{c.l1i, c.l1d, c.l2, c.itlb, c.dtlb, c.stlb} {
 			cc.Reset()
 		}
-		c.uop.reset()
 		for _, g := range c.seen {
 			c.lastInv[g], c.size[g] = 0, 0
 		}
@@ -517,18 +414,15 @@ func (m *Machine) FetchCode(core int, base uint64, size int, now sim.Cycles, out
 		}
 
 		key := block >> m.iBlockShift
-		if way, hit := c.l1i.AccessWay(key); hit {
-			// An L1I hit is served by the decoded-µop cache, skipping fetch
-			// and decode, or pays legacy decode.
-			if !c.uop.access(way) {
-				out.Add(FeILD, spec.Decode.ILDPerBlock)
-				out.Add(FeIDQ, spec.Decode.IDQPerBlock)
-				total += spec.Decode.ILDPerBlock + spec.Decode.IDQPerBlock
-			}
+		if c.l1i.Access(key) {
+			// An L1I hit pays legacy decode: a DSP hot path never hits the
+			// decoded-µop cache, so the machine has none (DESIGN.md §6).
+			out.Add(FeILD, spec.Decode.ILDPerBlock)
+			out.Add(FeIDQ, spec.Decode.IDQPerBlock)
+			total += spec.Decode.ILDPerBlock + spec.Decode.IDQPerBlock
 		} else {
-			// L1I miss: fetch from the unified hierarchy, drop the evicted
-			// block's µops, pay the decode-pipeline switch penalty,
-			// re-decode.
+			// L1I miss: fetch from the unified hierarchy, pay the
+			// decode-pipeline switch penalty, re-decode.
 			var fetch sim.Cycles
 			switch {
 			case c.l2.Access(key):
@@ -545,7 +439,6 @@ func (m *Machine) FetchCode(core int, base uint64, size int, now sim.Cycles, out
 			out.Add(FeIDQ, spec.Decode.SwitchPenalty+spec.Decode.IDQPerBlock)
 			out.Add(FeILD, spec.Decode.ILDPerBlock)
 			total += spec.Decode.SwitchPenalty + spec.Decode.IDQPerBlock + spec.Decode.ILDPerBlock
-			c.uop.fill(way)
 		}
 		if block == last {
 			break
@@ -655,7 +548,6 @@ func (m *Machine) Ops() Ops {
 	o := m.ops
 	for _, c := range m.cores {
 		o.L1I.add(c.l1i.hits, c.l1i.misses)
-		o.Uop.add(c.uop.hits, c.uop.misses)
 		o.L1D.add(c.l1d.hits, c.l1d.misses)
 		o.L2.add(c.l2.hits, c.l2.misses)
 		o.ITLB.add(c.itlb.hits, c.itlb.misses)

@@ -9,72 +9,6 @@ import (
 	"streamscale/internal/sim"
 )
 
-// TestUopRing pins the decoded-µop cache's LRU behaviour through FetchCode.
-// Table III's µop cache holds 12 of L1I's 512 B blocks; L1I has 8 sets of 8
-// ways, so blocks 8 apart share a set. A one-byte fetch of a resident block
-// is an L1I hit, and it charges legacy decode exactly when the µop cache
-// misses.
-func TestUopRing(t *testing.T) {
-	spec := testSpec()
-	if n := spec.Decode.UopCacheBytes / spec.L1I.BlockBytes; n != 12 {
-		t.Fatalf("µop cache holds %d blocks, the test assumes 12", n)
-	}
-	var m *Machine
-	fetch := func(blocks ...int) {
-		t.Helper()
-		for _, b := range blocks {
-			var v CostVec
-			m.FetchCode(0, CodeBase+uint64(b*spec.L1I.BlockBytes), 1, 0, &v)
-		}
-	}
-	// decodes fetches resident block b and reports whether the µop cache
-	// missed it.
-	decodes := func(b int) bool {
-		t.Helper()
-		var v CostVec
-		m.FetchCode(0, CodeBase+uint64(b*spec.L1I.BlockBytes), 1, 0, &v)
-		if v[FeL1I] != 0 {
-			t.Fatalf("block %d missed L1I", b)
-		}
-		return v[FeILD] != 0
-	}
-
-	// An L1I eviction drops the evicted block's µops. Block 1 is the least
-	// recent µop entry; block 0 is L1I set 0's least recent block, behind
-	// 7 more blocks of set 0 and 3 of other sets (12 entries). Block 64
-	// evicts block 0 from L1I, so its µops go and block 1's stay.
-	m = NewMachine(spec)
-	fetch(1, 0, 8, 16, 24, 32, 40, 48, 56, 2, 3, 4, 64)
-	if decodes(1) {
-		t.Error("an L1I eviction left its block's µops in place: the 13th entry evicted the least recent one")
-	}
-
-	// A 13th distinct block evicts the least recent entry.
-	m = NewMachine(spec)
-	fetch(0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13)
-	if decodes(13) {
-		t.Error("the most recent block lost its µops")
-	}
-	if !decodes(0) {
-		t.Error("the least recent block kept its µops past a 13th block")
-	}
-
-	// A hit refreshes recency: block 0 is hit before block 13 arrives, so
-	// block 1 is the one evicted.
-	m = NewMachine(spec)
-	fetch(0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12)
-	if decodes(0) {
-		t.Error("a block among 12 missed the µop cache")
-	}
-	fetch(13)
-	if decodes(0) {
-		t.Error("a µop hit did not refresh the block's recency")
-	}
-	if !decodes(1) {
-		t.Error("the least recent block kept its µops past a 13th block")
-	}
-}
-
 // machineTrace is everything a machine returns over one random workload.
 type machineTrace struct {
 	cycles     []sim.Cycles
@@ -145,7 +79,7 @@ func TestMachineResetMatchesFresh(t *testing.T) {
 	slice.build(all)
 	for _, seed := range []int64{2, 3} {
 		want := driveMachine(NewMachine(spec), all, seed, 20000)
-		if want.ops.Uop.Hits == 0 || want.ops.LLC.Hits == 0 || want.ops.STLB.Misses == 0 {
+		if want.ops.LLC.Hits == 0 || want.ops.STLB.Misses == 0 {
 			t.Fatalf("seed %d: the workload leaves a level idle: %+v", seed, want.ops)
 		}
 		sameTrace(t, fmt.Sprintf("seed %d, reset machine", seed), want, driveMachine(reused, all, seed, 20000))

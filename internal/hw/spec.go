@@ -30,18 +30,17 @@ type LatencySpec struct {
 	PageWalk   sim.Cycles // STLB miss page walk
 }
 
-// DecodeSpec holds front-end decode-path costs.
+// DecodeSpec holds front-end decode-path costs. Every fetched block pays
+// legacy decode: the model has no decoded-µop cache (D-ICache), which DSP
+// hot paths never hit (DESIGN.md §6).
 type DecodeSpec struct {
-	// UopCacheBytes is the code span the decoded-µop cache (D-ICache) can
-	// cover (1.5 kµop on Sandy Bridge, roughly 6 KB of hot code).
-	UopCacheBytes int
 	// ILDPerBlock is the instruction-length-decode (and IQ pressure) cost
-	// of legacy-decoding one instruction block that missed the µop cache.
+	// of legacy-decoding one instruction block.
 	ILDPerBlock sim.Cycles
 	// IDQPerBlock is the decode-queue cost of the same event.
 	IDQPerBlock sim.Cycles
-	// SwitchPenalty is charged when the front-end falls back from the µop
-	// cache to the legacy decode pipeline after an L1I miss invalidation.
+	// SwitchPenalty is charged on each L1I miss, when the front-end
+	// switches between the µop-cache and legacy decode pipelines.
 	SwitchPenalty sim.Cycles
 }
 
@@ -112,7 +111,6 @@ func TableIII() MachineSpec {
 			PageWalk:   45,
 		},
 		Decode: DecodeSpec{
-			UopCacheBytes: 6 << 10,
 			ILDPerBlock:   5,
 			IDQPerBlock:   4,
 			SwitchPenalty: 7,
