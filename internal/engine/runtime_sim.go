@@ -159,7 +159,6 @@ type simRuntime struct {
 	hotRegions  []*codeRegion
 	coldRegions []*codeRegion
 	coldEvery   []int
-	userRegions map[string]*codeRegion
 	codeCursor  uint64
 	regionCount uint32
 
@@ -241,7 +240,6 @@ func (rt *simRuntime) build() error {
 	rt.meta = jvm.NewMetaspace(4096)
 	rt.profile = profiler.New()
 	rt.sharedState = make(map[string]uint64)
-	rt.userRegions = make(map[string]*codeRegion)
 	rt.enabledCores = cfg.EnabledCores()
 
 	for _, r := range cfg.System.HotRegions {
@@ -254,9 +252,6 @@ func (rt *simRuntime) build() error {
 	for _, cls := range []string{"Tuple", "Fields", "Collector"} {
 		rt.frameworkClasses = append(rt.frameworkClasses, rt.meta.ClassID(cls))
 	}
-	for _, n := range rt.topo.Nodes() {
-		rt.userRegions[n.Name] = rt.newRegion(n.Profile.CodeBytes)
-	}
 
 	rt.execs = newExecutors(rt.topo, &execConfig{
 		seed: cfg.Seed, batch: cfg.BatchSize, ack: cfg.System.AckEnabled,
@@ -266,8 +261,15 @@ func (rt *simRuntime) build() error {
 	}, &rt.rootCtr)
 	rt.edgeTraffic = make([]*EdgeStat, len(rt.execs)*len(rt.execs))
 	sockets := cfg.EnabledSockets()
+	var code *codeRegion
 	for _, e := range rt.execs {
-		d := &simDriver{rt: rt, ex: e, stateSocket: -1}
+		if e.index == 0 {
+			// The executors come grouped by operator, in topology order,
+			// and share their operator's code region, laid out after the
+			// engine's regions in that order.
+			code = rt.newRegion(e.node.Profile.CodeBytes)
+		}
+		d := &simDriver{rt: rt, ex: e, code: code, stateSocket: -1}
 		e.port, e.cost = d, d
 		// Input queue ring memory lives on the executor's socket if
 		// placed, else on a deterministic enabled socket.
@@ -417,8 +419,9 @@ func (rt *simRuntime) run(app string) (*Result, error) {
 // queues that block through the scheduler) and its cost hook: all work
 // done during a step is charged to the machine in cycles.
 type simDriver struct {
-	rt *simRuntime
-	ex *executor
+	rt   *simRuntime
+	ex   *executor
+	code *codeRegion // the operator's own code
 
 	in      *simQueue
 	thread  *sim.Thread
@@ -662,7 +665,7 @@ func (d *simDriver) dispatch() {
 	for _, r := range hot {
 		d.fetchRegion(r)
 	}
-	d.fetchRegion(d.rt.userRegions[d.ex.node.Name])
+	d.fetchRegion(d.code)
 	d.work(uops, 4)
 	for i, r := range d.rt.coldRegions {
 		if every := d.rt.coldEvery[i]; every > 0 && d.ex.invocations%int64(every) == 0 {

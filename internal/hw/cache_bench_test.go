@@ -1,6 +1,11 @@
 package hw
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"streamscale/internal/sim"
+)
 
 // BenchmarkCacheAccess measures the per-lookup cost of the set-associative
 // cache model under the regimes the simulator lives in. On a 64-set cache
@@ -106,4 +111,60 @@ func BenchmarkMachineReset(b *testing.B) {
 		b.StartTimer()
 		m.Reset()
 	}
+}
+
+// BenchmarkFetchCode measures FetchCode per code block on a Storm-shaped
+// walk over one socket's 8 cores, round-robin. Each invocation fetches
+// Storm's four hot regions (13, 11, 12 and 11 KB) and then one of four user
+// regions (8, 10, 9 and 6 KB, in turn), each over 55–100% of its bytes as
+// the simulator's executors fetch them. The regions sit where the simulator
+// lays them out: 4 KB apart, the user regions after Storm's 10 MB of cold
+// regions, in another index chunk. The extents come from a fixed seed.
+func BenchmarkFetchCode(b *testing.B) {
+	spec := TableIII()
+	m := buildMachine(spec, spec.CoresPerSocket)
+	type region struct {
+		base  uint64
+		bytes int
+	}
+	cursor := CodeBase
+	place := func(kb int) region {
+		r := region{cursor, kb << 10}
+		cursor += uint64(kb<<10) + 4096
+		return r
+	}
+	var hot, user []region
+	for _, kb := range []int{13, 11, 12, 11} {
+		hot = append(hot, place(kb))
+	}
+	for _, kb := range []int{160, 900, 9 << 10} { // Storm's cold regions, never fetched here
+		place(kb)
+	}
+	for _, kb := range []int{8, 10, 9, 6} {
+		user = append(user, place(kb))
+	}
+	// One invocation's fetches, as runtime_sim's fetchRegion sizes them.
+	rng := rand.New(rand.NewSource(1))
+	extent := func(r region) region {
+		return region{r.base, int(float64(r.bytes) * (0.55 + 0.45*rng.Float64()))}
+	}
+	const invocations = 4096
+	walks := make([][5]region, invocations)
+	for i := range walks {
+		for j, r := range hot {
+			walks[i][j] = extent(r)
+		}
+		walks[i][4] = extent(user[i/spec.CoresPerSocket%len(user)])
+	}
+	var out CostVec
+	var now sim.Cycles
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core := i % spec.CoresPerSocket
+		for _, r := range walks[i%invocations] {
+			now += m.FetchCode(core, r.base, r.bytes, now, &out)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m.Ops().FetchBlocks), "ns/block")
 }
