@@ -110,9 +110,16 @@ test -s "$BENCH_DIR/BENCH_native_wc_storm.json" || { echo "ci: missing BENCH_nat
 go test -run 'TestRingTransferZeroAllocs|TestRingMsgTransferZeroAllocs|TestNativePipelineAllocCeiling|TestDriverMethodsAreHotPath|TestSimCellAllocCeiling|TestMachineFootprint' -count=1 ./internal/ring/ ./internal/engine/ ./internal/bench/ ./internal/hw/
 # Fuzz stage: FuzzCacheMatchesReference holds hw.Cache to the tick-scan LRU
 # cache it replaced (internal/hw/cache_ref_test.go) on every hit, miss, way
-# index and counter, FuzzCodeL1IMatchesReference holds the machine's L1I
-# index to the same cache on every fetched block, counter and resident way
-# (internal/hw/codel1i_fuzz_test.go), FuzzBloomMatchesDense holds the sparse decaying Bloom
+# index and counter, FuzzLLCMatchesReference holds the versionless LLC to
+# the same cache, which keeps a version per way, on every hit, miss, counter
+# and resident way (internal/hw/cache_fuzz_test.go),
+# FuzzDataWalkMatchesReference holds the data walk over the line directory
+# to the walk over that cache at every level and a map of line versions on
+# every call's cycles, cost vector, ledger and Ops
+# (internal/hw/walk_fuzz_test.go), FuzzCodeL1IMatchesReference holds the
+# machine's L1I index to the tick-scan cache on every fetched block, counter
+# and resident way (internal/hw/codel1i_fuzz_test.go), FuzzBloomMatchesDense
+# holds the sparse decaying Bloom
 # filter to a dense one on every estimate (internal/apps/bloom_test.go),
 # FuzzHistogramGobDecode requires a decoded histogram, which the memo cache
 # reads from disk, to be an error or readable without a panic
@@ -122,6 +129,8 @@ go test -run 'TestRingTransferZeroAllocs|TestRingMsgTransferZeroAllocs|TestNativ
 # committed corpora (testdata/fuzz in each package); this explores new
 # inputs for a fixed time.
 go test -run '^$' -fuzz '^FuzzCacheMatchesReference$' -fuzztime 20s ./internal/hw/
+go test -run '^$' -fuzz '^FuzzLLCMatchesReference$' -fuzztime 10s ./internal/hw/
+go test -run '^$' -fuzz '^FuzzDataWalkMatchesReference$' -fuzztime 10s ./internal/hw/
 go test -run '^$' -fuzz '^FuzzCodeL1IMatchesReference$' -fuzztime 10s ./internal/hw/
 go test -run '^$' -fuzz '^FuzzBloomMatchesDense$' -fuzztime 10s ./internal/apps/
 go test -run '^$' -fuzz '^FuzzHistogramGobDecode$' -fuzztime 10s ./internal/metrics/

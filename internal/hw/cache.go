@@ -5,29 +5,22 @@ import (
 	"math/bits"
 )
 
-// Cache is a set-associative cache with LRU replacement. Keys are block
-// numbers (the caller chooses the granularity: 64 B lines for data, 512 B
-// blocks for instructions, 4 KB pages for TLBs). The zero value is not
-// usable; construct with NewCache.
+// Cache is a set-associative cache with LRU replacement and at most
+// narrowWays ways per set: a core's L1D and L2 and its TLBs. (A socket's
+// wider LLC is a lastLevelCache.) Keys are block numbers (the caller
+// chooses the granularity: 64 B lines for data, 512 B blocks for
+// instructions, 4 KB pages for TLBs). The zero value is not usable;
+// construct with NewCache.
 //
 // The model is the simulator's hottest code: every simulated memory access
-// probes up to four levels, and the L2 and LLC arrays are large enough to
-// miss the host's own caches. So each set keeps its LRU order as a rank
-// per way (0 is the most recently used) in a few words beside its tags, a
-// miss reads its victim off the ranks instead of scanning for the least
-// recent use, and a probe touches as few host cache lines as the layout
-// allows:
-//
-//   - A set of at most narrowWays ways (L1D, L2, the TLBs) has a 16-byte
-//     head: one fingerprint byte and one rank nibble per way and the set's
-//     generation stamp. Its ways are 16-byte {tag, version} pairs, and a
-//     probe reads only the ways whose fingerprint matches.
-//   - A wider set (the LLC) keeps its tags packed to 32 bits, the block's
-//     bits above the set index plus one, with one rank byte per way and its
-//     stamp in one row: 128 bytes for 20 ways. The versions sit in a row of
-//     their own that only a tag match or an install touches. The packing is
-//     exact for keys below 2^32 times the set count; addr.go keeps every
-//     line and code-block key below 2^42.
+// probes up to four levels, and the L2 arrays are large enough to miss the
+// host's own caches. So each set keeps its LRU order as a rank per way (0
+// is the most recently used) in its 16-byte head, a miss reads its victim
+// off the ranks instead of scanning for the least recent use, and a probe
+// touches as few host cache lines as the layout allows. The head holds one
+// fingerprint byte and one rank nibble per way and the set's generation
+// stamp. The ways are 16-byte {tag, version} pairs, and a probe reads only
+// the ways whose fingerprint matches.
 //
 // A miss fills the set's lowest-index empty way, else its way of rank
 // Assoc()-1: the set's first way of least last use, as a cache stamping
@@ -37,54 +30,40 @@ import (
 // set stamped with an older one is empty and is rebuilt on its first
 // probe, so a reset costs nothing per set.
 //
-// A narrow cache can also keep one MRU word per set: the key of the set's
-// most recently used way plus one while that way's copy is at version 0,
-// else 0. Most probes of a TLB, and most code probes of an L2, are of the
-// block their set used last, so a version-0 probe that matches the word
-// counts its hit and returns without reading the set: the block is resident
-// at rank 0 and version 0, so a full probe would change nothing.
+// A cache can also keep one MRU word per set: the key of the set's most
+// recently used way plus one while that way's copy is at version 0, else
+// 0. Most probes of a TLB, and most code probes of an L2, are of the block
+// their set used last, so a version-0 probe that matches the word counts
+// its hit and returns without reading the set: the block is resident at
+// rank 0 and version 0, so a full probe would change nothing.
 type Cache struct {
 	setMask uint64
 	assoc   int
 	gen     uint32 // the current generation; a set stamped otherwise is empty
-	setBits uint32 // log2(sets): the shift that packs a wide set's tag
+	rank0   uint32 // a fresh set's rank nibbles; see narrowRank0
 
-	// Sets of at most narrowWays ways.
 	heads []setHead // one per set
 	ways  []way     // set s holds ways[s*assoc : (s+1)*assoc]
 	mru   []uint64  // one MRU word per set, or nil
 
-	// Wider sets.
-	rows     []uint32 // set s holds rows[s*rowWords : (s+1)*rowWords]
-	vers     []uint32 // the version each way was filled at, set-major
-	rowWords int32    // assoc packed tags, the rank words, padding, the stamp
-
 	blockBytes int32 // granularity CacheFor was sized with (0 if NewCache)
-
-	// rank0 holds a fresh set's rank words: way i has rank i, and lanes at
-	// or above assoc hold a value no rank update or victim search matches.
-	rank0 []uint32
 
 	hits   uint64
 	misses uint64
 }
 
-// narrowWays is the most ways a set keeps behind a fingerprint head, and
-// maxAssoc the most ways any set holds: a rank byte keeps its top bit free
-// for the word-wide compare in promoteBytes.
-const (
-	narrowWays = 8
-	maxAssoc   = 127
-)
+// narrowWays is the most ways a Cache set keeps behind its fingerprint
+// head.
+const narrowWays = 8
 
-// setHead is a narrow set's fingerprints, LRU ranks and generation stamp.
+// setHead is a set's fingerprints, LRU ranks and generation stamp.
 type setHead struct {
 	fp   uint64 // byte i: way i's fingerprint (top bit set), 0 if way i is empty
 	rank uint32 // nibble i: way i's LRU rank
 	gen  uint32
 }
 
-// way is a narrow set's way: the block it holds and the coherence version
+// way is a set's way: the block it holds and the coherence version
 // the copy was filled at. It is meaningful only while its fingerprint lane
 // is nonzero.
 type way struct {
@@ -106,41 +85,29 @@ const (
 	lowN   = 0x77777777
 )
 
-// NewCache builds a cache with the given number of sets and associativity.
-// Sets must be a power of two and the associativity at most 127. A cache
-// of at most narrowWays ways keeps MRU words.
+// NewCache builds a cache with the given number of sets and associativity,
+// keeping MRU words. Sets must be a power of two and the associativity at
+// most narrowWays.
 func NewCache(sets, assoc int) *Cache { return newCache(sets, assoc, true) }
 
-// newCache is NewCache with the choice of MRU words for a narrow cache.
+// newCache is NewCache with the choice of MRU words.
 func newCache(sets, assoc int, mru bool) *Cache {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("hw: cache sets must be a positive power of two")
 	}
-	if assoc <= 0 || assoc > maxAssoc {
-		panic("hw: cache associativity must be in [1, 127]")
+	if assoc <= 0 || assoc > narrowWays {
+		panic(fmt.Sprintf("hw: cache associativity must be in [1, %d]; a wider LLC is a lastLevelCache", narrowWays))
 	}
-	c := &Cache{setMask: uint64(sets - 1), assoc: assoc, gen: 1}
-	if assoc <= narrowWays {
-		c.heads = make([]setHead, sets)
-		c.ways = make([]way, sets*assoc)
-		if mru {
-			c.mru = make([]uint64, sets)
-		}
-		c.rank0 = []uint32{narrowRank0(assoc)}
-		return c
+	c := &Cache{
+		setMask: uint64(sets - 1),
+		assoc:   assoc,
+		gen:     1,
+		rank0:   narrowRank0(assoc),
+		heads:   make([]setHead, sets),
+		ways:    make([]way, sets*assoc),
 	}
-	nr := (assoc + 3) / 4
-	c.rowWords = int32(assoc+nr+1+15) &^ 15 // whole 64-byte host lines
-	c.rows = make([]uint32, sets*int(c.rowWords))
-	c.vers = make([]uint32, sets*assoc)
-	c.setBits = uint32(bits.TrailingZeros(uint(sets)))
-	c.rank0 = make([]uint32, nr)
-	for i := 0; i < 4*nr; i++ {
-		lane := uint32(0x7F)
-		if i < assoc {
-			lane = uint32(i)
-		}
-		c.rank0[i/4] |= lane << (8 * (i % 4))
+	if mru {
+		c.mru = make([]uint64, sets)
 	}
 	return c
 }
@@ -164,14 +131,14 @@ func narrowRank0(assoc int) uint32 {
 // given associativity. Because the set count must be a power of two, the
 // requested capacity is rounded DOWN to the nearest power-of-two set count:
 // a capacity whose set count is not a power of two can shed up to half the
-// requested bytes (e.g. a 24 MB, 20-way, 64 B-line request yields 16384
-// sets and only 20 MB effective). Check EffectiveBytes when sizing caches;
+// requested bytes (e.g. a 384 KB, 8-way, 64 B-line request yields 512 sets
+// and only 256 KB effective). Check EffectiveBytes when sizing caches;
 // every Table III level divides exactly and loses nothing.
 func CacheFor(capacityBytes, blockBytes, assoc int) *Cache {
 	return cacheFor(CacheSpec{capacityBytes, blockBytes, assoc}, true)
 }
 
-// cacheFor is CacheFor with the choice of MRU words for a narrow cache.
+// cacheFor is CacheFor with the choice of MRU words.
 func cacheFor(cs CacheSpec, mru bool) *Cache {
 	c := newCache(floorPow2(cs.CapacityBytes/cs.BlockBytes/cs.Assoc), cs.Assoc, mru)
 	c.blockBytes = int32(cs.BlockBytes)
@@ -201,26 +168,12 @@ func (c *Cache) EffectiveBytes() int {
 	return c.Sets() * c.assoc * int(c.blockBytes)
 }
 
-// Access looks up a block, inserting it on miss (evicting LRU if needed),
-// and reports whether it hit. Equivalent to AccessV with version 0.
+// Access looks up a block at version 0, inserting it on miss (evicting LRU
+// if needed), and reports whether it hit.
 //
 //dsp:hotpath
 func (c *Cache) Access(block uint64) bool {
 	return c.mruHit(block) || c.lookup(block)
-}
-
-// AccessV looks up a block requiring coherence version ver: a resident copy
-// filled at an older version is stale (another core wrote the line since)
-// and counts as a miss, refilled at ver. This is the model's lightweight
-// stand-in for MESI invalidations.
-//
-//dsp:hotpath
-func (c *Cache) AccessV(block uint64, ver uint32) bool {
-	if ver == 0 && c.mruHit(block) {
-		return true
-	}
-	_, hit := c.access(block, ver, false)
-	return hit
 }
 
 // lookup is Access without the MRU word's check.
@@ -251,38 +204,31 @@ func (c *Cache) mruHit(block uint64) bool {
 	return true
 }
 
-// WriteAccessV is AccessV for a store that just bumped the line's version
-// to ver: a copy at ver-1 belongs to this cache's core from its previous
-// write or read and is upgraded in place (an M-state rewrite), counting as
-// a hit.
-//
-//dsp:hotpath
-func (c *Cache) WriteAccessV(block uint64, ver uint32) bool {
-	_, hit := c.access(block, ver, true)
-	return hit
-}
-
-// access is the lookup behind every probe: a resident copy at ver (or, for
-// a write, at ver-1) hits, any other resident copy is refilled in place at
-// ver, and an absent block is installed in the set's victim way. Either
-// way the block's way becomes the set's most recently used. It returns that
-// way's index, in [0, Sets()*Assoc()), and whether the probe hit.
+// access looks up a block requiring coherence version ver, the lookup
+// behind every probe. A resident copy at ver hits. So does, for a write
+// (a store that just bumped the line's version to ver), a copy at ver-1:
+// it belongs to this cache's core from its previous write or read and is
+// upgraded in place, an M-state rewrite. Any other resident copy is stale
+// (another core wrote the line since): it counts a miss and is refilled in
+// place at ver, the model's lightweight stand-in for MESI invalidations.
+// An absent block is installed in the set's victim way. Either way the
+// block's way becomes the set's most recently used. It returns that way's
+// index, in [0, Sets()*Assoc()), and whether the probe hit.
 //
 //dsp:hotpath
 func (c *Cache) access(block uint64, ver uint32, write bool) (wi int, hit bool) {
-	if c.rows != nil {
-		return c.accessWide(block, ver, write)
-	}
 	si := block & c.setMask
 	h := &c.heads[si]
 	if h.gen != c.gen {
-		*h = setHead{rank: c.rank0[0], gen: c.gen}
+		*h = setHead{rank: c.rank0, gen: c.gen}
 	}
 	base := int(si) * c.assoc
 	fp := fingerprint(block)
 	i := c.findNarrow(h, base, block, fp)
 	if i >= 0 {
-		hit = settle(&c.ways[base+i].ver, ver, write)
+		w := &c.ways[base+i]
+		hit = w.ver == ver || write && w.ver == ver-1
+		w.ver = ver
 	} else {
 		if e := ^h.fp & c.fpMask(); e != 0 { // an empty lane's top bit is clear
 			i = bits.TrailingZeros64(e) >> 3
@@ -293,7 +239,11 @@ func (c *Cache) access(block uint64, ver uint32, write bool) (wi int, hit bool) 
 		h.fp = h.fp&^(0xFF<<sh) | fp&(0xFF<<sh)
 		c.ways[base+i] = way{tag: block, ver: ver}
 	}
-	c.count(hit)
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+	}
 	if sh := uint(4 * i); h.rank>>sh&0xF != 0 {
 		h.rank = promoteNibble(h.rank, sh)
 	}
@@ -308,91 +258,11 @@ func (c *Cache) access(block uint64, ver uint32, write bool) (wi int, hit bool) 
 	return base + i, hit
 }
 
-// accessWide is access for a set of more than narrowWays ways.
-//
-//dsp:hotpath
-func (c *Cache) accessWide(block uint64, ver uint32, write bool) (wi int, hit bool) {
-	si := block & c.setMask
-	row := c.row(si)
-	if row[len(row)-1] != c.gen {
-		clear(row[:c.assoc])
-		copy(row[c.assoc:], c.rank0)
-		row[len(row)-1] = c.gen
-	}
-	base := int(si) * c.assoc
-	tags, ranks := row[:c.assoc], row[c.assoc:c.assoc+len(c.rank0)]
-	t := c.packTag(block)
-	i := findTag(tags, t)
-	if i >= 0 {
-		hit = settle(&c.vers[base+i], ver, write)
-	} else {
-		if i = findTag(tags, 0); i < 0 {
-			i = byteLane(ranks, uint32(c.assoc-1))
-		}
-		tags[i] = t
-		c.vers[base+i] = ver
-	}
-	c.count(hit)
-	promoteBytes(ranks, i)
-	return base + i, hit
-}
-
-// settle reports whether a resident copy filled at version *v serves a
-// probe for ver (a write also takes ver-1, its core's own previous
-// version), and leaves the copy at ver.
-//
-//dsp:hotpath
-func settle(v *uint32, ver uint32, write bool) bool {
-	hit := *v == ver || write && *v == ver-1
-	if *v != ver {
-		*v = ver
-	}
-	return hit
-}
-
-// count tallies a probe's hit or miss.
-//
-//dsp:hotpath
-func (c *Cache) count(hit bool) {
-	if hit {
-		c.hits++
-	} else {
-		c.misses++
-	}
-}
-
-// row returns wide set si's row.
-//
-//dsp:hotpath
-func (c *Cache) row(si uint64) []uint32 {
-	n := int(c.rowWords)
-	lo := int(si) * n
-	return c.rows[lo : lo+n : lo+n]
-}
-
-// packTag returns a wide set's tag for block: its bits above the set index
-// plus one, so that 0 marks an empty way.
-//
-//dsp:hotpath
-func (c *Cache) packTag(block uint64) uint32 {
-	hi := block >> c.setBits
-	if hi >= 1<<32-1 {
-		c.keyTooLarge(block)
-	}
-	return uint32(hi) + 1
-}
-
-// keyTooLarge panics: a key beyond the packed tags is a caller's bug that
-// would otherwise alias another block.
-func (c *Cache) keyTooLarge(block uint64) {
-	panic(fmt.Sprintf("hw: block %#x does not fit the packed tags of a %d-set cache", block, c.Sets()))
-}
-
-// findNarrow returns the way of narrow set h (whose ways start at base)
-// that holds block, or -1. fp is the block's fingerprint in every lane.
-// The candidates are the lanes whose byte of h.fp^fp is zero, found by
-// testing each byte's top bit of (x-1)&^x. A borrow can also flag the lane
-// of a full way above a true candidate; its tag compare rejects it.
+// findNarrow returns the way of set h (whose ways start at base) that
+// holds block, or -1. fp is the block's fingerprint in every lane. The
+// candidates are the lanes whose byte of h.fp^fp is zero, found by testing
+// each byte's top bit of (x-1)&^x. A borrow can also flag the lane of a
+// full way above a true candidate; its tag compare rejects it.
 //
 //dsp:hotpath
 func (c *Cache) findNarrow(h *setHead, base int, block, fp uint64) int {
@@ -406,24 +276,12 @@ func (c *Cache) findNarrow(h *setHead, base int, block, fp uint64) int {
 	return -1
 }
 
-// fpMask returns a narrow set's fingerprint lanes in use: the top bit of
-// each byte lane below the associativity.
+// fpMask returns a set's fingerprint lanes in use: the top bit of each
+// byte lane below the associativity.
 //
 //dsp:hotpath
 func (c *Cache) fpMask() uint64 {
 	return 0x8080808080808080 >> (64 - 8*uint(c.assoc))
-}
-
-// findTag returns the first way of a wide set holding packed tag t, or -1.
-//
-//dsp:hotpath
-func findTag(tags []uint32, t uint32) int {
-	for i, x := range tags {
-		if x == t {
-			return i
-		}
-	}
-	return -1
 }
 
 // fingerprint returns a one-byte summary of block in every byte lane: the
@@ -454,75 +312,15 @@ func promoteNibble(rank uint32, sh uint) uint32 {
 	return (rank + below>>3) &^ (0xF << sh)
 }
 
-// byteLane returns the lane of the rank byte in words equal to v, which a
-// set's rank words always hold.
-//
-//dsp:hotpath
-func byteLane(words []uint32, v uint32) int {
-	b := v * ones32
-	for k := 0; ; k++ {
-		x := words[k] ^ b
-		if z := ^((x&low32 + low32) | x | low32); z != 0 {
-			return 4*k + bits.TrailingZeros32(z)>>3
-		}
-	}
-}
-
-// promoteBytes makes way i of a wide set with the given rank words the
-// most recently used: every way of lower rank moves down one. Lanes at or
-// above the associativity hold 0x7F, which no rank below 127 moves.
-//
-//dsp:hotpath
-func promoteBytes(words []uint32, i int) {
-	sh := uint(8 * (i & 3))
-	r := words[i>>2] >> sh & 0xFF
-	if r == 0 {
-		return
-	}
-	b := r * ones32
-	for k, x := range words {
-		words[k] = x + (^((x|high32)-b)&high32)>>7
-	}
-	words[i>>2] &^= 0xFF << sh
-}
-
 // find returns the way index of block within its set, or -1 if it is not
-// resident.
+// resident, without touching LRU state.
 func (c *Cache) find(block uint64) int {
 	si := block & c.setMask
-	if c.rows != nil {
-		row := c.row(si)
-		if row[len(row)-1] != c.gen {
-			return -1
-		}
-		return findTag(row[:c.assoc], c.packTag(block))
-	}
 	h := &c.heads[si]
 	if h.gen != c.gen {
 		return -1
 	}
 	return c.findNarrow(h, int(si)*c.assoc, block, fingerprint(block))
-}
-
-// Contains reports whether a block is resident without touching LRU state.
-func (c *Cache) Contains(block uint64) bool { return c.find(block) >= 0 }
-
-// Invalidate removes a block if present, leaving its way empty. The set's
-// ranks are unchanged: an empty way is a miss's first choice whatever its
-// rank.
-func (c *Cache) Invalidate(block uint64) {
-	si := block & c.setMask
-	i := c.find(block)
-	switch {
-	case i < 0:
-	case c.rows != nil:
-		c.row(si)[i] = 0
-	default:
-		c.heads[si].fp &^= 0xFF << (8 * i)
-		if c.mruWord(block) {
-			c.mru[si] = 0
-		}
-	}
 }
 
 // Reset returns the cache to its just-built state: no contents, no
@@ -535,7 +333,6 @@ func (c *Cache) Reset() {
 		// The stamps wrapped: clear them, so that no set stamped 2^32
 		// resets ago reads as current.
 		clear(c.heads)
-		clear(c.rows)
 		c.gen = 1
 	}
 }
@@ -545,12 +342,3 @@ func (c *Cache) Hits() uint64 { return c.hits }
 
 // Misses returns the number of misses observed.
 func (c *Cache) Misses() uint64 { return c.misses }
-
-// MissRate returns misses / accesses (0 when no accesses).
-func (c *Cache) MissRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(total)
-}

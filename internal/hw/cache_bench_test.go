@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -27,26 +28,26 @@ func BenchmarkCacheAccess(b *testing.B) {
 		const hot = 8
 		for i := 0; i < hot; i++ {
 			for j := 1; j < 8; j++ {
-				c.AccessV(uint64(i+j*64), 0)
+				c.Access(uint64(i + j*64))
 			}
-			c.AccessV(uint64(i), 0)
+			c.Access(uint64(i))
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.AccessV(uint64(i%hot), 0)
+			c.Access(uint64(i % hot))
 		}
 	})
 	b.Run("hit-heavy", func(b *testing.B) {
 		c := CacheFor(32<<10, 64, 8) // L1D-shaped: 64 sets x 8 ways
 		const hot = 256              // 16 KB working set: fits, ~4 ways/set
 		for i := 0; i < hot; i++ {
-			c.AccessV(uint64(i), 0)
+			c.Access(uint64(i))
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.AccessV(uint64(i%hot), 0)
+			c.Access(uint64(i % hot))
 		}
 	})
 	b.Run("miss-heavy", func(b *testing.B) {
@@ -55,16 +56,25 @@ func BenchmarkCacheAccess(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.AccessV(uint64(i)%span, 0)
+			c.Access(uint64(i) % span)
 		}
 	})
 	for _, shape := range []struct {
-		name string
-		spec CacheSpec
-	}{{"l2-random", TableIII().L2}, {"llc-random", TableIII().LLC}} {
+		name  string
+		spec  CacheSpec
+		probe func(CacheSpec) func(uint64) bool
+	}{
+		{"l2-random", TableIII().L2, func(cs CacheSpec) func(uint64) bool {
+			return CacheFor(cs.CapacityBytes, cs.BlockBytes, cs.Assoc).Access
+		}},
+		{"llc-random", TableIII().LLC, func(cs CacheSpec) func(uint64) bool {
+			l := newLastLevelCache(cs)
+			return func(block uint64) bool { return l.probe(block, true) }
+		}},
+	} {
 		b.Run(shape.name, func(b *testing.B) {
 			cs := shape.spec
-			c := CacheFor(cs.CapacityBytes, cs.BlockBytes, cs.Assoc)
+			probe := shape.probe(cs)
 			base := DataAddr(0, 0) / LineBytes
 			span := uint64(4 * cs.CapacityBytes / cs.BlockBytes)
 			x := uint64(88172645463325252)
@@ -75,12 +85,12 @@ func BenchmarkCacheAccess(b *testing.B) {
 				return base + x%span
 			}
 			for i := uint64(0); i < span; i++ {
-				c.AccessV(next(), 0)
+				probe(next())
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.AccessV(next(), 0)
+				probe(next())
 			}
 		})
 	}
@@ -167,4 +177,71 @@ func BenchmarkFetchCode(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m.Ops().FetchBlocks), "ns/block")
+}
+
+// BenchmarkDataAccess measures the data walk per line on a tuple-shaped
+// stream, over one socket's 8 cores and over 32 cores on four sockets. The
+// cores take tuples round-robin, and each tuple walks nine lines: a
+// 32-byte store to a fresh line bump-allocated from its socket's 1 MB young
+// region (which wraps, so lines are written again), a load of the line
+// the tuple four before stored (another core's, and in the four-socket
+// stream sometimes another socket's), three 8-byte loads in 16 class pages
+// of 4 KB on socket 0, and four 8-byte loads at random over its socket's
+// 1 MB state region. The loads' offsets come from a fixed seed.
+func BenchmarkDataAccess(b *testing.B) {
+	spec := TableIII()
+	for _, sockets := range []int{1, 4} {
+		b.Run(fmt.Sprintf("sockets=%d", sockets), func(b *testing.B) {
+			const (
+				tuples     = 4096
+				lag        = 4
+				youngLines = 1 << 14
+				classBase  = 64 << 20
+				classBytes = 16 << 12
+				stateBase  = 128 << 20
+				stateBytes = 1 << 20
+			)
+			cores := sockets * spec.CoresPerSocket
+			m := buildMachine(spec, cores)
+			type tuple struct {
+				class [3]uint64 // addresses
+				state [4]uint64 // offsets, on the tuple's socket
+			}
+			rng := rand.New(rand.NewSource(1))
+			ts := make([]tuple, tuples)
+			for i := range ts {
+				for j := range ts[i].class {
+					ts[i].class[j] = DataAddr(0, classBase+uint64(rng.Intn(classBytes/8))*8)
+				}
+				for j := range ts[i].state {
+					ts[i].state[j] = stateBase + uint64(rng.Intn(stateBytes/8))*8
+				}
+			}
+			bump := make([]uint64, sockets)
+			var stored [lag]uint64
+			var out CostVec
+			var now sim.Cycles
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				core := i % cores
+				sock := core / spec.CoresPerSocket
+				t := &ts[i%tuples]
+				addr := DataAddr(sock, bump[sock]%youngLines*LineBytes)
+				bump[sock]++
+				now += m.DataWrite(core, addr, 32, now, &out)
+				if prev := stored[i%lag]; prev != 0 {
+					now += m.DataAccess(core, prev, 32, now, &out)
+				}
+				stored[i%lag] = addr
+				for _, a := range t.class {
+					now += m.DataAccess(core, a, 8, now, &out)
+				}
+				for _, off := range t.state {
+					now += m.DataAccess(core, DataAddr(sock, off), 8, now, &out)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m.Ops().DataLines), "ns/line")
+		})
+	}
 }

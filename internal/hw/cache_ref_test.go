@@ -2,11 +2,14 @@ package hw
 
 // refCache is the tick-scan LRU cache this package shipped before sets kept
 // LRU ranks, copied unchanged but for its names (and without its sizing
-// helpers and its way-returning Access variant): each way stamps its last
-// use with a global tick, a miss scans the set for the first way of least
-// tick, and Reset clears the sets listed as installed into.
-// FuzzCacheMatchesReference holds Cache to its every hit, miss and way
-// index.
+// helpers, its way-returning Access variant and its Contains and
+// Invalidate, which the caches it checks no longer have): each way stamps
+// its last use with a global tick, a miss scans the set for the first way
+// of least tick, and Reset clears the sets listed as installed into.
+// FuzzCacheMatchesReference holds Cache, FuzzLLCMatchesReference the LLC
+// and FuzzCodeL1IMatchesReference the L1I index to its every hit, miss and
+// way index, and FuzzDataWalkMatchesReference runs the data walk over it
+// at every level.
 type refCache struct {
 	ways    []refWay // set s holds ways[s*assoc : (s+1)*assoc]
 	setMask uint64
@@ -161,36 +164,6 @@ func (c *refCache) access(block uint64, ver uint32) (wi int, hit bool) {
 	h.tag = tag
 	h.way = uint32(base + vi)
 	return base + vi, false
-}
-
-// Contains reports whether a block is resident without touching LRU state.
-func (c *refCache) Contains(block uint64) bool {
-	base := int(block&c.setMask) * c.assoc
-	for _, w := range c.ways[base : base+c.assoc] {
-		if w.tag == block+1 {
-			return true
-		}
-	}
-	return false
-}
-
-// Invalidate removes a block if present. If the set's shadow tag named
-// this block it is cleared (a block resides in at most one way, so the
-// hint necessarily points at the emptied way); probes then fall through to
-// the scan until the next hit or install re-arms the hint.
-func (c *refCache) Invalidate(block uint64) {
-	si := block & c.setMask
-	if h := &c.hints[si]; h.tag == block+1 {
-		h.tag = 0
-	}
-	base := int(si) * c.assoc
-	set := c.ways[base : base+c.assoc]
-	for i := range set {
-		if set[i].tag == block+1 {
-			set[i] = refWay{}
-			return
-		}
-	}
 }
 
 // Reset returns the cache to its just-built state: no contents, no

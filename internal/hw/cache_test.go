@@ -2,6 +2,7 @@ package hw
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -25,13 +26,13 @@ func TestCacheLRUEviction(t *testing.T) {
 	c.Access(2)
 	c.Access(1) // refresh 1; 2 is now LRU
 	c.Access(3) // evicts 2
-	if !c.Contains(1) {
+	if c.find(1) < 0 {
 		t.Fatal("block 1 evicted despite being MRU")
 	}
-	if c.Contains(2) {
+	if c.find(2) >= 0 {
 		t.Fatal("block 2 not evicted despite being LRU")
 	}
-	if !c.Contains(3) {
+	if c.find(3) < 0 {
 		t.Fatal("block 3 not inserted")
 	}
 }
@@ -43,28 +44,18 @@ func TestCacheSetIndexing(t *testing.T) {
 		c.Access(b)
 	}
 	for b := uint64(0); b < 4; b++ {
-		if !c.Contains(b) {
+		if c.find(b) < 0 {
 			t.Fatalf("block %d missing; set conflict where none expected", b)
 		}
 	}
 	// Block 4 conflicts with block 0 only.
 	c.Access(4)
-	if c.Contains(0) {
+	if c.find(0) >= 0 {
 		t.Fatal("block 0 survived a direct-mapped conflict with block 4")
 	}
-	if !c.Contains(1) || !c.Contains(2) || !c.Contains(3) {
+	if c.find(1) < 0 || c.find(2) < 0 || c.find(3) < 0 {
 		t.Fatal("non-conflicting blocks were evicted")
 	}
-}
-
-func TestCacheInvalidate(t *testing.T) {
-	c := NewCache(2, 2)
-	c.Access(5)
-	c.Invalidate(5)
-	if c.Contains(5) {
-		t.Fatal("block present after Invalidate")
-	}
-	c.Invalidate(999) // absent: must not panic
 }
 
 func TestCacheReset(t *testing.T) {
@@ -75,7 +66,7 @@ func TestCacheReset(t *testing.T) {
 	if c.Hits() != 0 || c.Misses() != 0 {
 		t.Fatal("stats survived Reset")
 	}
-	if c.Contains(1) {
+	if c.find(1) >= 0 {
 		t.Fatal("contents survived Reset")
 	}
 }
@@ -91,11 +82,14 @@ func TestCacheForSizes(t *testing.T) {
 	}
 }
 
-// CacheFor rounds the set count down to a power of two; pin the effective
-// capacity of every Table III cache level (all divide exactly — no bytes
-// are shed) and document a shape that does lose capacity.
+// CacheFor and the LLC round the set count down to a power of two; pin the
+// effective capacity of every Table III cache level (all divide exactly —
+// no bytes are shed) and document shapes that do lose capacity.
 func TestCacheForEffectiveBytes(t *testing.T) {
 	spec := TableIII()
+	llcBytes := func(cs CacheSpec) int {
+		return int(newLastLevelCache(cs).setMask+1) * cs.Assoc * cs.BlockBytes
+	}
 	for _, tc := range []struct {
 		name string
 		cs   CacheSpec
@@ -103,41 +97,33 @@ func TestCacheForEffectiveBytes(t *testing.T) {
 		{"L1I", spec.L1I},
 		{"L1D", spec.L1D},
 		{"L2", spec.L2},
-		{"LLC", spec.LLC},
 	} {
 		c := CacheFor(tc.cs.CapacityBytes, tc.cs.BlockBytes, tc.cs.Assoc)
 		if got := c.EffectiveBytes(); got != tc.cs.CapacityBytes {
 			t.Errorf("%s: effective = %d bytes, want the requested %d", tc.name, got, tc.cs.CapacityBytes)
 		}
 	}
-
-	// A 24 MB, 20-way, 64 B-line request computes 19660 sets, which rounds
-	// down to 16384: only 20 MB of the requested capacity is indexable.
-	c := CacheFor(24<<20, 64, 20)
-	if got := c.EffectiveBytes(); got != 20<<20 {
-		t.Errorf("24 MB request: effective = %d bytes, want %d (rounding documented in CacheFor)", got, 20<<20)
+	if got := llcBytes(spec.LLC); got != spec.LLC.CapacityBytes {
+		t.Errorf("LLC: effective = %d bytes, want the requested %d", got, spec.LLC.CapacityBytes)
 	}
-	if got := c.Sets(); got != 16384 {
-		t.Errorf("24 MB request: sets = %d, want 16384", got)
+
+	// A 384 KB, 8-way, 64 B-line request computes 768 sets, which rounds
+	// down to 512: only 256 KB of the requested capacity is indexable.
+	c := CacheFor(384<<10, 64, 8)
+	if got := c.EffectiveBytes(); got != 256<<10 {
+		t.Errorf("384 KB request: effective = %d bytes, want %d (rounding documented in CacheFor)", got, 256<<10)
+	}
+	if got := c.Sets(); got != 512 {
+		t.Errorf("384 KB request: sets = %d, want 512", got)
+	}
+	// So does a 24 MB, 20-way LLC: 19660 sets round down to 16384, 20 MB.
+	if got := llcBytes(CacheSpec{24 << 20, 64, 20}); got != 20<<20 {
+		t.Errorf("24 MB LLC: effective = %d bytes, want %d", got, 20<<20)
 	}
 
 	// NewCache has no block granularity (TLBs key by page number).
 	if got := NewCache(16, 4).EffectiveBytes(); got != 0 {
 		t.Errorf("NewCache effective bytes = %d, want 0", got)
-	}
-}
-
-func TestCacheMissRate(t *testing.T) {
-	c := NewCache(1, 4)
-	if c.MissRate() != 0 {
-		t.Fatal("miss rate nonzero before any access")
-	}
-	c.Access(1)
-	c.Access(1)
-	c.Access(1)
-	c.Access(1)
-	if got := c.MissRate(); got != 0.25 {
-		t.Fatalf("miss rate = %v, want 0.25", got)
 	}
 }
 
@@ -157,7 +143,7 @@ func TestCacheProperties(t *testing.T) {
 		}
 		resident := 0
 		for b := uint64(0); b < 64; b++ {
-			if c.Contains(b) {
+			if c.find(b) >= 0 {
 				resident++
 			}
 		}
@@ -196,15 +182,48 @@ func TestCacheProperties(t *testing.T) {
 	}
 }
 
+// TestCachePanicsOnBadShape: NewCache and CacheFor refuse a set count that
+// is not a positive power of two and an associativity outside [1, 8], and
+// name the LLC's type when asked for more ways.
 func TestCachePanicsOnBadShape(t *testing.T) {
-	for _, tc := range []struct{ sets, assoc int }{{3, 2}, {0, 2}, {4, 0}, {1, 128}} {
+	for _, tc := range []struct {
+		what  string
+		build func()
+		want  string
+	}{
+		{"NewCache(3, 2)", func() { NewCache(3, 2) }, "power of two"},
+		{"NewCache(0, 2)", func() { NewCache(0, 2) }, "power of two"},
+		{"NewCache(4, 0)", func() { NewCache(4, 0) }, "associativity"},
+		{"NewCache(1, 9)", func() { NewCache(1, 9) }, "lastLevelCache"},
+		{"NewCache(1, 128)", func() { NewCache(1, 128) }, "lastLevelCache"},
+		{"CacheFor(20 MB, 64, 20)", func() { CacheFor(20<<20, 64, 20) }, "lastLevelCache"},
+		{"an 8-way LLC", func() { newLastLevelCache(CacheSpec{1 << 20, 64, 8}) }, "LLC associativity"},
+		{"a 128-way LLC", func() { newLastLevelCache(CacheSpec{1 << 20, 64, 128}) }, "LLC associativity"},
+	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("NewCache(%d,%d) did not panic", tc.sets, tc.assoc)
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Errorf("%s panicked with %q, want a message containing %q", tc.what, msg, tc.want)
 				}
 			}()
-			NewCache(tc.sets, tc.assoc)
+			tc.build()
 		}()
 	}
+}
+
+// TestLLCKeyTooLargePanics: the LLC's packed tags hold keys below 2^32-1
+// times its set count. The largest such key probes; the next one panics
+// with a message naming the fault rather than alias another block.
+func TestLLCKeyTooLargePanics(t *testing.T) {
+	l := newLastLevelCache(TableIII().LLC)
+	top := (uint64(1)<<32 - 1) << l.setBits
+	if l.probe(top-1, true) || !l.probe(top-1, true) {
+		t.Fatalf("block %#x, the largest the packed tags hold, did not miss and then hit", top-1)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "does not fit the packed tags") {
+			t.Errorf("probe(%#x) panicked with %q, want a message naming the packed tags", top, msg)
+		}
+	}()
+	l.probe(top, true)
 }

@@ -119,18 +119,21 @@ func TestCoherenceProperty(t *testing.T) {
 	}
 }
 
+// TestWriteAccessVUpgradeSemantics: a store's probe of a line it just
+// bumped to version v also takes a copy at v-1, its core's own, and
+// upgrades it; a load takes only a copy at its version.
 func TestWriteAccessVUpgradeSemantics(t *testing.T) {
 	c := NewCache(1, 2)
-	if c.WriteAccessV(5, 1) {
+	if _, hit := c.access(5, 1, true); hit {
 		t.Fatal("cold write reported hit")
 	}
-	if !c.WriteAccessV(5, 2) {
+	if _, hit := c.access(5, 2, true); !hit {
 		t.Fatal("ver-1 upgrade write missed")
 	}
-	if !c.AccessV(5, 2) {
+	if _, hit := c.access(5, 2, false); !hit {
 		t.Fatal("read at current version missed after upgrade")
 	}
-	if c.AccessV(5, 7) {
+	if _, hit := c.access(5, 7, false); hit {
 		t.Fatal("read at future version hit a stale copy")
 	}
 }

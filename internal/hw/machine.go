@@ -32,11 +32,10 @@ type Machine struct {
 	codeKey     uint64 // CodeBase's block key: code block n's cache key is codeKey+n
 	pageBlocks  uint64 // code blocks per page, less one: a page's blocks share n|pageBlocks
 
-	// versions holds per written data line its coherence version (a write
-	// bumps it, so copies cached elsewhere become stale; see Cache.AccessV)
-	// and the socket of the last writer (so a read miss can be served by a
-	// dirty-copy forward instead of home memory).
-	versions *lineVerTable
+	// lines is the coherence directory: per written data line its version,
+	// its last writer's socket and the sockets whose LLC holds its current
+	// copy (linedir.go).
+	lines lineDir
 
 	// charged is the cycle-conservation ledger: every charging method
 	// (dataAccess, FetchCode, StreamAccess, Compute) adds the cycles it
@@ -80,11 +79,6 @@ func (p *Probes) add(hits, misses uint64) {
 	p.Misses += misses
 }
 
-type lineState struct {
-	ver    uint32
-	writer int8
-}
-
 type coreHW struct {
 	id     int
 	socket int
@@ -108,7 +102,7 @@ type coreHW struct {
 
 type socketHW struct {
 	id   int
-	llc  *Cache
+	llc  *lastLevelCache
 	dram *Channel
 }
 
@@ -124,7 +118,7 @@ func buildMachine(spec MachineSpec, n int) *Machine {
 		cores:       make([]*coreHW, 0, spec.TotalCores()),
 		iBlockBytes: spec.L1I.BlockBytes,
 		iBlockShift: uint(bits.TrailingZeros(uint(spec.L1I.BlockBytes))),
-		versions:    newLineVerTable(),
+		lines:       newLineDir(),
 	}
 	for s := 1 << 12; s < spec.PageBytes; s <<= 1 {
 		m.pageShift++
@@ -162,7 +156,7 @@ func (m *Machine) build(n int) {
 	for c := len(m.cores); c < n; c++ {
 		s := m.sockets[c/spec.CoresPerSocket]
 		if s.llc == nil {
-			s.llc = CacheFor(spec.LLC.CapacityBytes, spec.LLC.BlockBytes, spec.LLC.Assoc)
+			s.llc = newLastLevelCache(spec.LLC)
 		}
 		m.cores = append(m.cores, &coreHW{
 			id:     c,
@@ -240,7 +234,7 @@ func (m *Machine) Reset() {
 	}
 	for _, s := range m.sockets {
 		if s.llc != nil {
-			s.llc.Reset()
+			s.llc.reset()
 		}
 		s.dram.Reset()
 	}
@@ -251,7 +245,7 @@ func (m *Machine) Reset() {
 			}
 		}
 	}
-	m.versions.reset()
+	m.lines.reset()
 	m.charged = 0
 	m.ops = Ops{}
 }
@@ -277,6 +271,18 @@ func (m *Machine) DataWrite(core int, addr uint64, size int, now sim.Cycles, out
 // dataAccess walks the simulated memory hierarchy line by line — the
 // single hottest loop in the model.
 //
+// A line's coherence state is its directory record's (linedir.go). The
+// L1D and the L2 hold each copy's version: a load needs the line's
+// version, and a store, which bumps it first, also takes its core's own
+// copy at the version before (Cache.access). The LLC holds none: a copy
+// there is current, and a probe of it hits, while the line is at version 0
+// or its LLC byte has the socket's bit. A load that reaches the LLC leaves
+// the socket's copy current, so it sets the bit; a store leaves only its
+// own socket's copy current, and only if its walk reached the LLC, so it
+// sets the byte to that socket's bit or to 0. A store's probe asks whether
+// the copy was current before the store, which is Cache.access's rule of a
+// copy at the version before.
+//
 //dsp:hotpath
 func (m *Machine) dataAccess(core int, addr uint64, size int, write bool, now sim.Cycles, out *CostVec) sim.Cycles {
 	if size <= 0 {
@@ -284,6 +290,8 @@ func (m *Machine) dataAccess(core int, addr uint64, size int, write bool, now si
 	}
 	c := m.cores[core]
 	mySock := c.socket
+	myBit := uint8(1) << mySock
+	llc := m.sockets[mySock].llc
 	spec := &m.Spec
 
 	var total sim.Cycles
@@ -294,8 +302,10 @@ func (m *Machine) dataAccess(core int, addr uint64, size int, write bool, now si
 	// lastPage tracks the page the previous line resolved: consecutive
 	// lines usually share it, and a re-probe of the page just translated
 	// is a guaranteed TLB hit that charges nothing and leaves the TLB's
-	// relative LRU order unchanged, so it is skipped outright.
-	lastPage := ^uint64(0)
+	// relative LRU order unchanged, so it is skipped outright. recPage and
+	// rec do the same for the directory's pages.
+	lastPage, recPage := ^uint64(0), ^uint64(0)
+	var rec *pageRec
 	for line := first; ; line += LineBytes {
 		// Address translation.
 		page := line >> m.pageShift
@@ -312,32 +322,43 @@ func (m *Machine) dataAccess(core int, addr uint64, size int, write bool, now si
 				total += cost
 			}
 		}
+		if p := line >> dirPageShift; p != recPage {
+			recPage = p
+			if rec = m.lines.lookup(p); rec == nil && write {
+				rec = m.lines.add(p)
+			}
+		}
 
 		key := line / LineBytes
-		st := m.versions.get(key)
-		written := st.ver != 0
-		if write {
-			st.ver++
-			st.writer = int8(mySock)
-			m.versions.put(key, st)
+		li := key % pageLines
+		var ver uint32
+		var writer int
+		current := true // this socket's LLC copy, if it holds one
+		if rec != nil {
+			ver, writer = rec.ver[li], int(rec.writer[li])
+			current = ver == 0 || rec.llc[li]&myBit != 0
 		}
-		var l1Hit, l2Hit, llcHit bool
+		written := ver != 0
 		if write {
-			l1Hit = c.l1d.WriteAccessV(key, st.ver)
-			if !l1Hit {
-				l2Hit = c.l2.WriteAccessV(key, st.ver)
-				if !l2Hit {
-					llcHit = m.sockets[mySock].llc.WriteAccessV(key, st.ver)
-				}
+			ver++
+			writer = mySock
+			rec.ver[li], rec.writer[li] = ver, int8(mySock)
+		}
+		var l2Hit, llcHit, reached bool
+		_, l1Hit := c.l1d.access(key, ver, write)
+		if !l1Hit {
+			if _, l2Hit = c.l2.access(key, ver, write); !l2Hit {
+				reached = true
+				llcHit = llc.probe(key, current)
 			}
-		} else {
-			l1Hit = c.l1d.AccessV(key, st.ver)
-			if !l1Hit {
-				l2Hit = c.l2.AccessV(key, st.ver)
-				if !l2Hit {
-					llcHit = m.sockets[mySock].llc.AccessV(key, st.ver)
-				}
-			}
+		}
+		switch {
+		case write && reached:
+			rec.llc[li] = myBit
+		case write:
+			rec.llc[li] = 0
+		case reached && written:
+			rec.llc[li] |= myBit
 		}
 		switch {
 		case l1Hit:
@@ -348,15 +369,15 @@ func (m *Machine) dataAccess(core int, addr uint64, size int, write bool, now si
 		case llcHit:
 			out.Add(BeL2, spec.Latency.LLC)
 			total += spec.Latency.LLC
-		case written && int(st.writer) == mySock:
+		case written && writer == mySock:
 			// The current copy is dirty in a same-socket private cache:
 			// an on-die cache-to-cache forward, served at LLC-like cost.
 			cost := spec.Latency.LLC + 12
 			out.Add(BeL2, cost)
 			total += cost
-		case written && int(st.writer) != mySock:
+		case written:
 			// Dirty in another socket's caches: a QPI snoop forward.
-			qwait := m.qpi[mySock][int(st.writer)].Transfer(now+total, LineBytes)
+			qwait := m.qpi[mySock][writer].Transfer(now+total, LineBytes)
 			cost := spec.Latency.RemoteDRAM + qwait
 			out.Add(BeLLCRemote, cost)
 			total += cost
@@ -444,7 +465,7 @@ func (m *Machine) FetchCode(core int, base uint64, size int, now sim.Cycles, out
 				fetch += lat.L2
 			case l2.lookup(key):
 				fetch += lat.L2
-			case llc.Access(key):
+			case llc.probe(key, true): // code is never written, so every copy is current
 				fetch += lat.LLC
 			default:
 				// The channel books the block at the walk's time so far.

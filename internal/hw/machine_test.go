@@ -289,20 +289,20 @@ func TestDRAMUtilizationSelectsSockets(t *testing.T) {
 }
 
 // machineFootprintCeiling bounds the bytes NewMachine(TableIII()) allocates:
-// 0.4% above the 17,029,832 bytes measured (17,031,752 under -race), and
-// set 1.2% above the 16,890,184 a machine took before its L2s and TLBs kept
-// MRU words. Its four 20-way LLCs are most of it, at 208 bytes per set;
-// with a last-use tick per way and an MRU hint per set, a machine took
-// 37,127,648 bytes.
-const machineFootprintCeiling = 17_100_000
+// 0.7% above the 11,714,264 bytes measured, and set 31% below the
+// 17,029,832 a machine took while its LLCs kept a coherence version per way
+// (1.31 MB per socket) and a hashed table held each written line's state.
+// Its four 20-way LLCs are most of it, at 128 bytes per set; with a
+// last-use tick per way and an MRU hint per set, a machine took 37,127,648
+// bytes.
+const machineFootprintCeiling = 11_800_000
 
 // sliceFootprintCeiling bounds the bytes a Table III machine built for its
-// first socket's 8 cores allocates: 0.04% above the 4,308,320 bytes
-// measured (4,308,800 under -race), and set 0.9% above the 4,273,408 a
-// slice took before its L2s and TLBs kept MRU words. One LLC and 8 cores'
-// private caches are most of it; the other sockets' DRAM channels and QPI
-// links are built too.
-const sliceFootprintCeiling = 4_310_000
+// first socket's 8 cores allocates: 0.6% above the 2,933,360 bytes
+// measured, and set 32% below the 4,308,320 a slice took while its LLC kept
+// versions. One LLC and 8 cores' private caches are most of it; the other
+// sockets' DRAM channels and QPI links are built too.
+const sliceFootprintCeiling = 2_950_000
 
 // TestMachineFootprint measures the bytes (runtime.MemStats.TotalAlloc, GC
 // off) that building a Table III machine allocates: whole, built for one
