@@ -111,8 +111,8 @@ go test -run 'TestRingTransferZeroAllocs|TestRingMsgTransferZeroAllocs|TestNativ
 # Fuzz stage: FuzzCacheMatchesReference holds hw.Cache to the tick-scan LRU
 # cache it replaced (internal/hw/cache_ref_test.go) on every hit, miss, way
 # index and counter, FuzzLLCMatchesReference holds the versionless LLC to
-# the same cache, which keeps a version per way, on every hit, miss, counter
-# and resident way (internal/hw/cache_fuzz_test.go),
+# the same cache, which keeps a version per way, on every hit, miss,
+# counter and set's recency order (internal/hw/cache_fuzz_test.go),
 # FuzzDataWalkMatchesReference holds the data walk over the line directory
 # to the walk over that cache at every level and a map of line versions on
 # every call's cycles, cost vector, ledger and Ops
@@ -127,14 +127,22 @@ go test -run 'TestRingTransferZeroAllocs|TestRingMsgTransferZeroAllocs|TestNativ
 # MPSC's lanes to slice queues on every push, pop, lane index and length
 # (internal/ring/mpsc_fuzz_test.go). The test runs above replay their
 # committed corpora (testdata/fuzz in each package); this explores new
-# inputs for a fixed time.
-go test -run '^$' -fuzz '^FuzzCacheMatchesReference$' -fuzztime 20s ./internal/hw/
-go test -run '^$' -fuzz '^FuzzLLCMatchesReference$' -fuzztime 10s ./internal/hw/
-go test -run '^$' -fuzz '^FuzzDataWalkMatchesReference$' -fuzztime 10s ./internal/hw/
-go test -run '^$' -fuzz '^FuzzCodeL1IMatchesReference$' -fuzztime 10s ./internal/hw/
-go test -run '^$' -fuzz '^FuzzBloomMatchesDense$' -fuzztime 10s ./internal/apps/
-go test -run '^$' -fuzz '^FuzzHistogramGobDecode$' -fuzztime 10s ./internal/metrics/
-go test -run '^$' -fuzz '^FuzzMPSCMatchesReference$' -fuzztime 10s ./internal/ring/
+# inputs for a fixed time. Each interesting input the fuzzer finds is
+# minimized for at most 1 s (-fuzzminimizetime; the default of 60 s let
+# minimization take over a target's whole -fuzztime, so it stopped
+# exploring about 3 s in), and each target prints how many inputs it ran.
+fuzz() { # fuzz <target> <fuzztime> <package>
+  local out
+  out=$(go test -run '^$' -fuzz "^$1\$" -fuzztime "$2" -fuzzminimizetime 1s "$3" 2>&1) || { echo "$out" >&2; return 1; }
+  echo "ci: $1 ran $(grep -o 'execs: [0-9]*' <<<"$out" | tail -n 1 | cut -d ' ' -f 2) inputs in $2"
+}
+fuzz FuzzCacheMatchesReference 20s ./internal/hw/
+fuzz FuzzLLCMatchesReference 10s ./internal/hw/
+fuzz FuzzDataWalkMatchesReference 10s ./internal/hw/
+fuzz FuzzCodeL1IMatchesReference 10s ./internal/hw/
+fuzz FuzzBloomMatchesDense 10s ./internal/apps/
+fuzz FuzzHistogramGobDecode 10s ./internal/metrics/
+fuzz FuzzMPSCMatchesReference 10s ./internal/ring/
 # Ring stress stage: the high-iteration SPSC/MPSC protocol hammer under the
 # race detector (skipped without DSP_STRESS so plain `go test ./...` stays
 # fast). Sequence checks catch lost/reordered items; -race catches the

@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // Events must scale by EventScale and never return a non-positive count:
 // a negative or tiny scale would otherwise flow into apps.Build as a
@@ -35,4 +38,22 @@ func TestCellNegativeScaleRuns(t *testing.T) {
 	if res.SourceEvents < 1 {
 		t.Fatalf("SourceEvents = %d, want >= 1", res.SourceEvents)
 	}
+}
+
+// A socket's tenured region (14 GB) bounds how far a cell scales, and tm
+// sets the bound: each map-match executor takes 120 MB of scan scratch,
+// so a one-socket tm cell runs at scale 14, the largest that fits, and
+// panics with the region's named fault at 15.
+func TestTenuredRegionScaleLimit(t *testing.T) {
+	cell := Cell{App: "tm", System: "storm", Sockets: 1, Scale: 14}
+	if _, err := runDirect(cell); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "runs into the metaspace") {
+			t.Errorf("tm at scale 15 on one socket panicked with %q, want a tenured allocation that runs into the metaspace", msg)
+		}
+	}()
+	cell.Scale = 15
+	runDirect(cell)
 }

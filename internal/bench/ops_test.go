@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 
+	"streamscale/internal/engine"
 	"streamscale/internal/hw"
 )
 
@@ -61,5 +66,68 @@ func TestSimCellsProbeCounts(t *testing.T) {
 	}
 	if got != simCellsOps {
 		t.Errorf("one sim-cells pass counted\n%+v\nwant\n%+v", got, simCellsOps)
+	}
+}
+
+// variantCellDigests pins cells on the two machine variants whose LLC set
+// counts no report cell reaches: 2x16's 2^15 sets and 8x4's 2^13. Each
+// digest hashes the cell's events, latency, ledger, QPI bytes, collections
+// and every probe count. Neither report simulates these shapes (the tier
+// report's spec matrix verifies only turbo rows), so a change to the cache
+// model that moves a hit or a charge on them shows here.
+var variantCellDigests = []struct {
+	cell Cell
+	want string
+}{
+	{Cell{App: "wc", System: "storm", Spec: "2x16", Scale: 4, BatchSize: 8}, "fdf12a3cfdb5a3f8"},
+	{Cell{App: "vs", System: "flink", Spec: "2x16", Sockets: 1}, "9469266b7fdcb8a8"},
+	{Cell{App: "lr", System: "storm", Spec: "2x16", HugePages: true}, "ea0c858210f1abcb"},
+	{Cell{App: "wc", System: "storm", Spec: "8x4", Scale: 4, BatchSize: 8}, "eaa88d1617ab1360"},
+	{Cell{App: "fd", System: "flink", Spec: "8x4", Sockets: 2}, "ad0dce3a300e08b5"},
+	{Cell{App: "lg", System: "storm", Spec: "8x4", HugePages: true}, "33422a3c17281712"},
+}
+
+// cellDigest hashes the deterministic outcome of one simulated cell.
+func cellDigest(r *engine.Result) string {
+	h := fnv.New64a()
+	var sum float64
+	if n := r.Latency.Count(); n > 0 {
+		sum = r.Latency.Mean() * float64(n)
+	}
+	o := &r.Ops
+	for _, v := range []uint64{
+		uint64(r.SourceEvents), uint64(r.SinkEvents), uint64(r.AckerCompleted),
+		uint64(r.ChargedCycles), math.Float64bits(r.ElapsedSeconds),
+		uint64(r.Latency.Count()), math.Float64bits(sum), r.QPIBytes, uint64(r.MinorGCs),
+		o.FetchCalls, o.FetchBlocks, o.DataCalls, o.DataLines, o.StreamCalls,
+		o.L1I.Hits, o.L1I.Misses, o.L1D.Hits, o.L1D.Misses, o.L2.Hits, o.L2.Misses,
+		o.LLC.Hits, o.LLC.Misses, o.ITLB.Hits, o.ITLB.Misses, o.DTLB.Hits, o.DTLB.Misses,
+		o.STLB.Hits, o.STLB.Misses,
+	} {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestVariantCellDigests runs each variantCellDigests cell at seed 1 and
+// EventScale 0.1 and requires its digest.
+func TestVariantCellDigests(t *testing.T) {
+	cells := make([]Cell, len(variantCellDigests))
+	for i, c := range variantCellDigests {
+		cells[i] = c.cell
+		cells[i].EventScale, cells[i].Seed = 0.1, 1
+	}
+	results, err := runCells(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		c := r.Cell
+		if got := cellDigest(r.Res); got != variantCellDigests[i].want {
+			t.Errorf("%s/%s on %s (sockets %d, huge pages %v): digest %s, want %s (%d cycles, LLC %+v)",
+				c.App, c.System, c.Spec, c.Sockets, c.HugePages, got, variantCellDigests[i].want, r.Res.ChargedCycles, r.Res.Ops.LLC)
+		}
 	}
 }

@@ -19,11 +19,13 @@ import (
 // off the ranks instead of scanning for the least recent use, and a probe
 // touches as few host cache lines as the layout allows. The head holds one
 // fingerprint byte and one rank nibble per way and the set's generation
-// stamp. The ways are 16-byte {tag, version} pairs, and a probe reads only
-// the ways whose fingerprint matches.
+// stamp. The ways are 8-byte {tag, version} pairs, and a probe reads only
+// the ways whose fingerprint matches. A tag is the whole key, so keys must
+// be below 2^32, as every line, code-block and page key of addr.go's
+// layout is; installing a larger one panics.
 //
 // A miss fills the set's lowest-index empty way, else its way of rank
-// Assoc()-1: the set's first way of least last use, as a cache stamping
+// assoc-1: the set's first way of least last use, as a cache stamping
 // each use with a tick picks it. All arrays are pointer-free, so the
 // garbage collector never scans them and pages of a large cache that are
 // never probed are never touched. Reset bumps the cache's generation; a
@@ -46,8 +48,6 @@ type Cache struct {
 	ways  []way     // set s holds ways[s*assoc : (s+1)*assoc]
 	mru   []uint64  // one MRU word per set, or nil
 
-	blockBytes int32 // granularity CacheFor was sized with (0 if NewCache)
-
 	hits   uint64
 	misses uint64
 }
@@ -67,7 +67,7 @@ type setHead struct {
 // the copy was filled at. It is meaningful only while its fingerprint lane
 // is nonzero.
 type way struct {
-	tag uint64
+	tag uint32
 	ver uint32
 }
 
@@ -127,22 +127,15 @@ func narrowRank0(assoc int) uint32 {
 	return r
 }
 
-// CacheFor builds a cache sized capacityBytes with blockBytes blocks and the
-// given associativity. Because the set count must be a power of two, the
-// requested capacity is rounded DOWN to the nearest power-of-two set count:
-// a capacity whose set count is not a power of two can shed up to half the
+// cacheFor builds a cache of the given shape, with the choice of MRU
+// words. Because the set count must be a power of two, the requested
+// capacity is rounded DOWN to the nearest power-of-two set count: a
+// capacity whose set count is not a power of two can shed up to half the
 // requested bytes (e.g. a 384 KB, 8-way, 64 B-line request yields 512 sets
-// and only 256 KB effective). Check EffectiveBytes when sizing caches;
-// every Table III level divides exactly and loses nothing.
-func CacheFor(capacityBytes, blockBytes, assoc int) *Cache {
-	return cacheFor(CacheSpec{capacityBytes, blockBytes, assoc}, true)
-}
-
-// cacheFor is CacheFor with the choice of MRU words.
+// and only 256 KB effective). Every Table III level divides exactly and
+// loses nothing.
 func cacheFor(cs CacheSpec, mru bool) *Cache {
-	c := newCache(floorPow2(cs.CapacityBytes/cs.BlockBytes/cs.Assoc), cs.Assoc, mru)
-	c.blockBytes = int32(cs.BlockBytes)
-	return c
+	return newCache(floorPow2(cs.CapacityBytes/cs.BlockBytes/cs.Assoc), cs.Assoc, mru)
 }
 
 // floorPow2 returns the largest power of two not above n, or 1 if n < 2.
@@ -152,20 +145,6 @@ func floorPow2(n int) int {
 		p *= 2
 	}
 	return p
-}
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return int(c.setMask) + 1 }
-
-// Assoc returns the associativity.
-func (c *Cache) Assoc() int { return c.assoc }
-
-// EffectiveBytes returns the capacity the cache actually indexes
-// (sets x assoc x block bytes) after CacheFor's power-of-two set rounding.
-// It returns 0 for caches built directly with NewCache, which have no byte
-// granularity (e.g. TLBs keyed by page number).
-func (c *Cache) EffectiveBytes() int {
-	return c.Sets() * c.assoc * int(c.blockBytes)
 }
 
 // Access looks up a block at version 0, inserting it on miss (evicting LRU
@@ -213,7 +192,7 @@ func (c *Cache) mruHit(block uint64) bool {
 // place at ver, the model's lightweight stand-in for MESI invalidations.
 // An absent block is installed in the set's victim way. Either way the
 // block's way becomes the set's most recently used. It returns that way's
-// index, in [0, Sets()*Assoc()), and whether the probe hit.
+// index, in [0, sets*assoc), and whether the probe hit.
 //
 //dsp:hotpath
 func (c *Cache) access(block uint64, ver uint32, write bool) (wi int, hit bool) {
@@ -235,9 +214,12 @@ func (c *Cache) access(block uint64, ver uint32, write bool) (wi int, hit bool) 
 		} else {
 			i = nibbleLane(h.rank, uint32(c.assoc-1))
 		}
+		if block > maxTag {
+			tagTooLarge(block)
+		}
 		sh := uint(8 * i)
 		h.fp = h.fp&^(0xFF<<sh) | fp&(0xFF<<sh)
-		c.ways[base+i] = way{tag: block, ver: ver}
+		c.ways[base+i] = way{tag: uint32(block), ver: ver}
 	}
 	if hit {
 		c.hits++
@@ -258,18 +240,28 @@ func (c *Cache) access(block uint64, ver uint32, write bool) (wi int, hit bool) 
 	return base + i, hit
 }
 
+// maxTag is the largest key a way's 32-bit tag holds.
+const maxTag = 1<<32 - 1
+
+// tagTooLarge panics: a key beyond the 32-bit tags is a caller's bug that
+// would otherwise alias another block.
+func tagTooLarge(block uint64) {
+	panic(fmt.Sprintf("hw: block %#x does not fit a cache way's 32-bit tag", block))
+}
+
 // findNarrow returns the way of set h (whose ways start at base) that
 // holds block, or -1. fp is the block's fingerprint in every lane. The
 // candidates are the lanes whose byte of h.fp^fp is zero, found by testing
 // each byte's top bit of (x-1)&^x. A borrow can also flag the lane of a
-// full way above a true candidate; its tag compare rejects it.
+// full way above a true candidate; its tag compare rejects it. The compare
+// is at 64 bits, so a key above maxTag matches no way and misses.
 //
 //dsp:hotpath
 func (c *Cache) findNarrow(h *setHead, base int, block, fp uint64) int {
 	x := h.fp ^ fp
 	for m := (x - ones64) &^ x & c.fpMask(); m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m) >> 3
-		if c.ways[base+i].tag == block {
+		if uint64(c.ways[base+i].tag) == block {
 			return i
 		}
 	}

@@ -20,7 +20,7 @@ import (
 // capacity, so three probes in four miss.
 func BenchmarkCacheAccess(b *testing.B) {
 	b.Run("repeat-heavy", func(b *testing.B) {
-		c := CacheFor(32<<10, 64, 8) // L1D-shaped: 64 sets x 8 ways
+		c := cacheFor(TableIII().L1D, true) // L1D-shaped: 64 sets x 8 ways
 		// One hot block per set across 8 sets, each behind seven colder
 		// ways — a resident line lands on an arbitrary way, so a plain
 		// scan pays mismatches before finding it, while the MRU hint
@@ -39,8 +39,8 @@ func BenchmarkCacheAccess(b *testing.B) {
 		}
 	})
 	b.Run("hit-heavy", func(b *testing.B) {
-		c := CacheFor(32<<10, 64, 8) // L1D-shaped: 64 sets x 8 ways
-		const hot = 256              // 16 KB working set: fits, ~4 ways/set
+		c := cacheFor(TableIII().L1D, true) // L1D-shaped: 64 sets x 8 ways
+		const hot = 256                     // 16 KB working set: fits, ~4 ways/set
 		for i := 0; i < hot; i++ {
 			c.Access(uint64(i))
 		}
@@ -51,7 +51,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 		}
 	})
 	b.Run("miss-heavy", func(b *testing.B) {
-		c := CacheFor(32<<10, 64, 8)
+		c := cacheFor(TableIII().L1D, true)
 		const span = 1 << 20 // 64 MB of lines: every access evicts
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -65,7 +65,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 		probe func(CacheSpec) func(uint64) bool
 	}{
 		{"l2-random", TableIII().L2, func(cs CacheSpec) func(uint64) bool {
-			return CacheFor(cs.CapacityBytes, cs.BlockBytes, cs.Assoc).Access
+			return cacheFor(cs, true).Access
 		}},
 		{"llc-random", TableIII().LLC, func(cs CacheSpec) func(uint64) bool {
 			l := newLastLevelCache(cs)

@@ -1,8 +1,10 @@
 package hw
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -41,24 +43,60 @@ func refFind(r *refCache, block uint64) int {
 	return -1
 }
 
+// refOrder returns the blocks of r's set si, the most recently used
+// first: its filled ways by falling last-use tick.
+func refOrder(r *refCache, si uint64) []uint64 {
+	base := int(si) * r.assoc
+	var ways []refWay
+	for _, w := range r.ways[base : base+r.assoc] {
+		if w.tag != 0 {
+			ways = append(ways, w)
+		}
+	}
+	slices.SortFunc(ways, func(a, b refWay) int { return cmp.Compare(b.used, a.used) })
+	order := make([]uint64, len(ways))
+	for i, w := range ways {
+		order[i] = w.tag - 1
+	}
+	return order
+}
+
+// llcOrder returns the blocks of l's set si, the most recently used first.
+func llcOrder(l *lastLevelCache, si uint64) []uint64 {
+	r := &l.rows[si]
+	if r.meta>>8 != l.gen {
+		return nil
+	}
+	order := make([]uint64, r.meta&llcFill)
+	for i := range order {
+		order[i] = (uint64(r.hi[i])<<16|uint64(r.lo[i]))<<l.setBits | si
+	}
+	return order
+}
+
 // fuzzBlock returns the block a fuzz operation [op, k] probes in a cache
-// of 2^setBits sets and assoc ways: folded onto four sets and 2*assoc+3
-// tags per set, so sets fill, evict and hold stale copies, with the op
-// byte's top three bits spreading the tags up to the 2^42 key bound and
-// below the 2^32 tags an LLC packs.
-func fuzzBlock(op, k byte, setBits, assoc int) uint64 {
+// of 2^setBits sets and assoc ways whose keys must stay below 2^keyBits:
+// folded onto four sets and 2*assoc+3 tags per set, so sets fill, evict
+// and hold stale copies. The op byte's top three bits spread the tags over
+// the key range: a value below 7 moves them up by that many eighths of it,
+// and 7 counts them down from its top, so the largest key is 2^keyBits-1.
+func fuzzBlock(op, k byte, setBits, assoc, keyBits int) uint64 {
 	sets := uint64(1) << setBits
-	spread := min(39-setBits, 28)
 	picks := [4]uint64{0, 1, sets - 1, sets / 2}
-	hi := uint64(int(k)%(2*assoc+3)) | uint64(op>>5)<<spread
+	hi := uint64(int(k) % (2*assoc + 3))
+	if s := op >> 5; s == 7 {
+		hi = 1<<(keyBits-setBits) - 1 - hi
+	} else {
+		hi |= uint64(s) << (keyBits - 3 - setBits)
+	}
 	return picks[op>>3&3]&(sets-1) | hi<<setBits
 }
 
 // fuzzWrap, after a reset whose op byte has bit 3 set, moves a generation
-// to as if the cache had been reset until it is op>>5 short of wrapping:
-// sets stamped before must stay empty when it wraps.
-func fuzzWrap(op byte, gen *uint32) {
-	if g := math.MaxUint32 - uint32(op>>5); op&8 != 0 && g > *gen {
+// that wraps past top to as if the cache had been reset until it is op>>5
+// short of wrapping: sets stamped before must stay empty when it wraps.
+func fuzzWrap(op byte, gen *uint32, top uint32) {
+	if g := top - uint32(op>>5); op&8 != 0 && g > *gen {
 		*gen = g
 	}
 }
@@ -74,7 +112,7 @@ func fuzzWrap(op byte, gen *uint32) {
 // fuzzBlock picks, at version v&3: a load (op&7 of 0, 1 or 3, the last at
 // version 0), a store, Access, a residency check (5 and 6) or a reset,
 // which can also skip the generation to just short of its wrap, so that
-// the stamps wrap within one input.
+// the stamps wrap within one input. Keys stay below 2^32, the tags' bound.
 func FuzzCacheMatchesReference(f *testing.F) {
 	shapes := machineShapes()
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -92,7 +130,7 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		var keys []uint64
 		for p := 2; p+3 <= len(in); p += 3 {
 			op, v := in[p], uint32(in[p+2]&3)
-			block := fuzzBlock(op, in[p+1], setBits, assoc)
+			block := fuzzBlock(op, in[p+1], setBits, assoc, 32)
 			keys = append(keys, block)
 			switch op & 7 {
 			case 0, 1, 3:
@@ -120,7 +158,7 @@ func FuzzCacheMatchesReference(f *testing.F) {
 			case 7:
 				c.Reset()
 				ref.Reset()
-				fuzzWrap(op, &c.gen)
+				fuzzWrap(op, &c.gen, math.MaxUint32)
 			}
 			if c.Hits() != ref.Hits() || c.Misses() != ref.Misses() {
 				t.Fatalf("op %d: hits/misses %d/%d, reference %d/%d", p/3, c.Hits(), c.Misses(), ref.Hits(), ref.Misses())
@@ -137,19 +175,22 @@ func FuzzCacheMatchesReference(f *testing.F) {
 // FuzzLLCMatchesReference runs the versionless lastLevelCache and the
 // tick-scan refCache, which keeps a version per way, through one stream of
 // operations and requires the same hit or miss and counters from every
-// operation and the same way for the block after it. The harness keeps
-// each block's version and whether the LLC's copy of it, if it holds one,
-// is current, as the line directory does: a store bumps the version and
-// leaves the copy stale unless its probe reaches the LLC, the LLC probes
-// with the flag, and the reference probes at the version.
+// operation and, after it, the same blocks in the block's set in the same
+// recency order: the LLC's row order against the reference's last-use
+// ticks. The harness keeps each block's version and whether the LLC's copy
+// of it, if it holds one, is current, as the line directory does: a store
+// bumps the version and leaves the copy stale unless its probe reaches the
+// LLC, the LLC probes with the flag, and the reference probes at the
+// version.
 //
 // The first byte picks the shape: one of the LLCs NewMachine builds (bits
 // 0-3, as FuzzCacheMatchesReference numbers the machine's shapes), else a
-// small one of 9 to 24 ways from the second byte. Each further 3-byte
-// group [op, k, v] is one operation on the block fuzzBlock picks: a load
+// small one of 9 to 20 ways from the second byte (a value that would pick
+// 21 to 24 ways picks 9 to 12). Each further 3-byte group [op, k, v] is
+// one operation on the block fuzzBlock picks, with tags below 2^24: a load
 // (op&7 of 0, 1, 3 or 4), a store (2; its probe reaches the LLC if v is
 // odd), a residency check (5 and 6) or a reset, which can also skip the
-// generation to just short of its wrap.
+// generation to just short of its 2^24 wrap.
 func FuzzLLCMatchesReference(f *testing.F) {
 	shapes := machineShapes()
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -161,17 +202,22 @@ func FuzzLLCMatchesReference(f *testing.F) {
 			sets, assoc = shapes[i][0], shapes[i][1]
 		} else {
 			sets, assoc = 1<<(in[1]&3), narrowWays+1+int(in[1]>>2)%16
+			if assoc > llcWays {
+				assoc -= llcWays - narrowWays
+			}
 		}
 		l := newLastLevelCache(CacheSpec{sets * assoc * LineBytes, LineBytes, assoc})
 		ref := newRefCache(sets, assoc)
 		setBits := bits.TrailingZeros(uint(sets))
+		keyBits := min(32, llcTagBits+setBits)
 		ver := map[uint64]uint32{}
 		stale := map[uint64]bool{} // the LLC's copy, if resident, is not current
-		var keys []uint64
+		touched := map[uint64]bool{}
 		for p := 2; p+3 <= len(in); p += 3 {
 			op := in[p]
-			block := fuzzBlock(op, in[p+1], setBits, assoc)
-			keys = append(keys, block)
+			block := fuzzBlock(op, in[p+1], setBits, assoc, keyBits)
+			si := block & l.setMask
+			touched[si] = true
 			switch op & 7 {
 			case 0, 1, 3, 4:
 				got := l.probe(block, !stale[block])
@@ -196,18 +242,18 @@ func FuzzLLCMatchesReference(f *testing.F) {
 			case 7:
 				l.reset()
 				ref.Reset()
-				fuzzWrap(op, &l.gen)
+				fuzzWrap(op, &l.gen, 1<<llcTagBits-1)
 			}
-			if got, want := l.find(block), refFind(ref, block); got != want {
-				t.Fatalf("op %d: block %#x is in way %d, reference way %d", p/3, block, got, want)
+			if got, want := llcOrder(l, si), refOrder(ref, si); !slices.Equal(got, want) {
+				t.Fatalf("op %d: set %d holds %#x, most recent first; reference %#x", p/3, si, got, want)
 			}
 			if l.hits != ref.Hits() || l.misses != ref.Misses() {
 				t.Fatalf("op %d: hits/misses %d/%d, reference %d/%d", p/3, l.hits, l.misses, ref.Hits(), ref.Misses())
 			}
 		}
-		for _, block := range keys {
-			if got, want := l.find(block), refFind(ref, block); got != want {
-				t.Fatalf("block %#x is in way %d, reference way %d", block, got, want)
+		for si := range touched {
+			if got, want := llcOrder(l, si), refOrder(ref, si); !slices.Equal(got, want) {
+				t.Fatalf("set %d holds %#x, most recent first; reference %#x", si, got, want)
 			}
 		}
 	})

@@ -31,8 +31,6 @@ type refCache struct {
 	// Reset one repeated clear).
 	dirty []uint32
 
-	blockBytes int // granularity CacheFor was sized with (0 if newRefCache)
-
 	hits   uint64
 	misses uint64
 
@@ -41,8 +39,7 @@ type refCache struct {
 
 type refWay struct {
 	// tag is block+1, or 0 when the way is invalid. Real keys never wrap:
-	// data and code blocks are addresses divided by the block size
-	// (< 2^49), pages < 2^36.
+	// addr.go keeps every line, code-block and page key below 2^32.
 	tag  uint64
 	used uint64 // last-use tick; 0 = never used (victim scan prefers it)
 	ver  uint32 // coherence version the copy was filled at

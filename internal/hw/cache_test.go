@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestCacheHitAfterInsert(t *testing.T) {
@@ -73,57 +74,47 @@ func TestCacheReset(t *testing.T) {
 
 func TestCacheForSizes(t *testing.T) {
 	// 32 KB, 64 B lines, 8-way: 512 lines, 64 sets.
-	c := CacheFor(32<<10, 64, 8)
-	if got := c.Sets(); got != 64 {
+	c := cacheFor(CacheSpec{32 << 10, 64, 8}, true)
+	if got := c.setMask + 1; got != 64 {
 		t.Fatalf("sets = %d, want 64", got)
 	}
-	if c.Assoc() != 8 {
-		t.Fatalf("assoc = %d, want 8", c.Assoc())
+	if c.assoc != 8 {
+		t.Fatalf("assoc = %d, want 8", c.assoc)
 	}
 }
 
-// CacheFor and the LLC round the set count down to a power of two; pin the
-// effective capacity of every Table III cache level (all divide exactly —
-// no bytes are shed) and document shapes that do lose capacity.
+// cacheFor and the LLC round the set count down to a power of two; pin the
+// set count of every Table III cache level (all divide exactly, so no
+// bytes are shed) and document shapes that do lose capacity.
 func TestCacheForEffectiveBytes(t *testing.T) {
 	spec := TableIII()
-	llcBytes := func(cs CacheSpec) int {
-		return int(newLastLevelCache(cs).setMask+1) * cs.Assoc * cs.BlockBytes
-	}
+	sets := func(cs CacheSpec) int { return cs.CapacityBytes / cs.BlockBytes / cs.Assoc }
 	for _, tc := range []struct {
 		name string
 		cs   CacheSpec
 	}{
-		{"L1I", spec.L1I},
 		{"L1D", spec.L1D},
 		{"L2", spec.L2},
 	} {
-		c := CacheFor(tc.cs.CapacityBytes, tc.cs.BlockBytes, tc.cs.Assoc)
-		if got := c.EffectiveBytes(); got != tc.cs.CapacityBytes {
-			t.Errorf("%s: effective = %d bytes, want the requested %d", tc.name, got, tc.cs.CapacityBytes)
+		if got, want := int(cacheFor(tc.cs, true).setMask+1), sets(tc.cs); got != want {
+			t.Errorf("%s: %d sets, want the requested capacity's %d", tc.name, got, want)
 		}
 	}
-	if got := llcBytes(spec.LLC); got != spec.LLC.CapacityBytes {
-		t.Errorf("LLC: effective = %d bytes, want the requested %d", got, spec.LLC.CapacityBytes)
+	if got, want := int(newCodeL1I(spec.L1I).setMask+1), sets(spec.L1I); got != want {
+		t.Errorf("L1I: %d sets, want the requested capacity's %d", got, want)
+	}
+	if got, want := int(newLastLevelCache(spec.LLC).setMask+1), sets(spec.LLC); got != want {
+		t.Errorf("LLC: %d sets, want the requested capacity's %d", got, want)
 	}
 
 	// A 384 KB, 8-way, 64 B-line request computes 768 sets, which rounds
 	// down to 512: only 256 KB of the requested capacity is indexable.
-	c := CacheFor(384<<10, 64, 8)
-	if got := c.EffectiveBytes(); got != 256<<10 {
-		t.Errorf("384 KB request: effective = %d bytes, want %d (rounding documented in CacheFor)", got, 256<<10)
-	}
-	if got := c.Sets(); got != 512 {
-		t.Errorf("384 KB request: sets = %d, want 512", got)
+	if got := cacheFor(CacheSpec{384 << 10, 64, 8}, true).setMask + 1; got != 512 {
+		t.Errorf("384 KB request: %d sets, want 512 (rounding documented in cacheFor)", got)
 	}
 	// So does a 24 MB, 20-way LLC: 19660 sets round down to 16384, 20 MB.
-	if got := llcBytes(CacheSpec{24 << 20, 64, 20}); got != 20<<20 {
-		t.Errorf("24 MB LLC: effective = %d bytes, want %d", got, 20<<20)
-	}
-
-	// NewCache has no block granularity (TLBs key by page number).
-	if got := NewCache(16, 4).EffectiveBytes(); got != 0 {
-		t.Errorf("NewCache effective bytes = %d, want 0", got)
+	if got := newLastLevelCache(CacheSpec{24 << 20, 64, 20}).setMask + 1; got != 16384 {
+		t.Errorf("24 MB LLC: %d sets, want 16384", got)
 	}
 }
 
@@ -182,9 +173,10 @@ func TestCacheProperties(t *testing.T) {
 	}
 }
 
-// TestCachePanicsOnBadShape: NewCache and CacheFor refuse a set count that
+// TestCachePanicsOnBadShape: NewCache and cacheFor refuse a set count that
 // is not a positive power of two and an associativity outside [1, 8], and
-// name the LLC's type when asked for more ways.
+// name the LLC's type when asked for more ways; the LLC refuses fewer than
+// 9 ways or more than its row's 20.
 func TestCachePanicsOnBadShape(t *testing.T) {
 	for _, tc := range []struct {
 		what  string
@@ -196,9 +188,9 @@ func TestCachePanicsOnBadShape(t *testing.T) {
 		{"NewCache(4, 0)", func() { NewCache(4, 0) }, "associativity"},
 		{"NewCache(1, 9)", func() { NewCache(1, 9) }, "lastLevelCache"},
 		{"NewCache(1, 128)", func() { NewCache(1, 128) }, "lastLevelCache"},
-		{"CacheFor(20 MB, 64, 20)", func() { CacheFor(20<<20, 64, 20) }, "lastLevelCache"},
+		{"cacheFor(20 MB, 64, 20)", func() { cacheFor(CacheSpec{20 << 20, 64, 20}, true) }, "lastLevelCache"},
 		{"an 8-way LLC", func() { newLastLevelCache(CacheSpec{1 << 20, 64, 8}) }, "LLC associativity"},
-		{"a 128-way LLC", func() { newLastLevelCache(CacheSpec{1 << 20, 64, 128}) }, "LLC associativity"},
+		{"a 21-way LLC", func() { newLastLevelCache(CacheSpec{1 << 20, 64, 21}) }, "LLC associativity"},
 	} {
 		func() {
 			defer func() {
@@ -211,19 +203,44 @@ func TestCachePanicsOnBadShape(t *testing.T) {
 	}
 }
 
-// TestLLCKeyTooLargePanics: the LLC's packed tags hold keys below 2^32-1
+// TestLLCKeyTooLargePanics: the LLC's 24-bit tags hold keys below 2^24
 // times its set count. The largest such key probes; the next one panics
 // with a message naming the fault rather than alias another block.
 func TestLLCKeyTooLargePanics(t *testing.T) {
 	l := newLastLevelCache(TableIII().LLC)
-	top := (uint64(1)<<32 - 1) << l.setBits
+	top := uint64(1) << (llcTagBits + l.setBits)
 	if l.probe(top-1, true) || !l.probe(top-1, true) {
-		t.Fatalf("block %#x, the largest the packed tags hold, did not miss and then hit", top-1)
+		t.Fatalf("block %#x, the largest the 24-bit tags hold, did not miss and then hit", top-1)
 	}
 	defer func() {
-		if msg, _ := recover().(string); !strings.Contains(msg, "does not fit the packed tags") {
-			t.Errorf("probe(%#x) panicked with %q, want a message naming the packed tags", top, msg)
+		if msg, _ := recover().(string); !strings.Contains(msg, "does not fit the 24-bit tags") {
+			t.Errorf("probe(%#x) panicked with %q, want a message naming the 24-bit tags", top, msg)
 		}
 	}()
 	l.probe(top, true)
+}
+
+// TestCacheKeyTooLargePanics: a way's tag holds keys below 2^32. The
+// largest such key installs and hits; installing 2^32 panics with a
+// message naming the fault rather than alias block 0.
+func TestCacheKeyTooLargePanics(t *testing.T) {
+	c := NewCache(4, 2)
+	const top = uint64(1) << 32
+	if c.lookup(top-1) || !c.lookup(top-1) {
+		t.Fatalf("block %#x, the largest a tag holds, did not miss and then hit", top-1)
+	}
+	c.Access(0)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "does not fit a cache way's 32-bit tag") {
+			t.Errorf("Access(%#x) panicked with %q, want a message naming the 32-bit tag", top, msg)
+		}
+	}()
+	c.Access(top)
+}
+
+// TestLLCRowIsOneHostLine: a set's row fills one 64-byte host line.
+func TestLLCRowIsOneHostLine(t *testing.T) {
+	if got := unsafe.Sizeof(llcRow{}); got != 64 {
+		t.Fatalf("an llcRow takes %d bytes, want 64", got)
+	}
 }

@@ -12,192 +12,145 @@ import (
 // current; a resident copy that is not counts a miss and is refreshed in
 // place, as a copy filled at an older version would be.
 //
-// Each set is one row of pointer-free words: its tags packed to 32 bits
-// (the block's bits above the set index plus one), one LRU rank byte per
-// way (0 is the most recently used), the number of ways filled and the
-// set's generation stamp. A row is 128 bytes, two host lines, for 20 ways.
-// The packing is exact for keys below 2^32 times the set count; addr.go
-// keeps every line and code-block key below 2^42, and a larger key panics.
-//
-// Nothing empties a single way, so a set fills its ways in order and a
-// probe compares only the filled ones. A miss in a full set evicts its way
-// of rank assoc-1: the first way of least last use, as a cache stamping
-// each use with a tick picks it. Reset bumps the generation; a set stamped
-// with an older one is empty and is rebuilt on its first probe.
+// Each set is one llcRow, one 64-byte host line. It keeps the tags of its
+// filled ways in recency order, the most recently used first: a probe
+// moves its tag to the front, and a miss in a full set drops the last tag,
+// the set's least recently used block, exactly the victim a cache stamping
+// each use with a tick picks. A tag is the block's bits above the set
+// index, 24 of them: addr.go keeps every line and code-block key below
+// 2^32, so the tags of any LLC of at least 2^8 sets fit, and a larger key
+// panics. Reset bumps the generation; a set stamped with an older one is
+// empty and is rebuilt on its first probe.
 type lastLevelCache struct {
-	rows     []uint32 // set s holds rows[s*rowWords : (s+1)*rowWords]
-	rank0    []uint32 // a fresh set's rank words; see newLastLevelCache
-	setMask  uint64
-	assoc    int32
-	rowWords int32  // assoc tags, the rank words, padding, the fill count, the stamp
-	setBits  uint32 // log2(sets): the shift that packs a tag
-	gen      uint32 // the current generation; a set stamped otherwise is empty
+	rows    []llcRow // one per set
+	setMask uint64
+	assoc   uint32
+	setBits uint32 // log2(sets): the shift that takes a block's tag
+	gen     uint32 // the current generation, below 2^24; a set stamped otherwise is empty
 
 	hits   uint64
 	misses uint64
 }
 
+// llcWays is the most ways an llcRow holds.
+const llcWays = 20
+
+// llcRow is one LLC set: the tags of its filled ways in recency order,
+// each split into its low 16 bits (lo) and its high 8 (hi), then the
+// number of ways filled (meta's low byte) and the set's 24-bit generation
+// stamp (meta's high bytes). It is 64 bytes, so a set is one host line.
+type llcRow struct {
+	lo   [llcWays]uint16
+	hi   [llcWays]uint8
+	meta uint32
+}
+
+const (
+	// llcTagBits is the width of an llcRow's tags, and of its stamps.
+	llcTagBits = 24
+	// llcFill masks an llcRow's fill count out of its meta word.
+	llcFill = 0xFF
+)
+
 // newLastLevelCache builds an empty LLC of the given shape, its set count
-// rounded down to a power of two as CacheFor rounds it. Its associativity
-// must be in [narrowWays+1, 127]: a rank byte keeps its top bit free for
-// the word-wide compare in promoteBytes.
+// rounded down to a power of two as cacheFor rounds it. Its associativity
+// must be in [narrowWays+1, llcWays].
 func newLastLevelCache(cs CacheSpec) *lastLevelCache {
+	if cs.Assoc <= narrowWays || cs.Assoc > llcWays {
+		panic(fmt.Sprintf("hw: LLC associativity must be in [%d, %d]", narrowWays+1, llcWays))
+	}
 	sets := floorPow2(cs.CapacityBytes / cs.BlockBytes / cs.Assoc)
-	if cs.Assoc <= narrowWays || cs.Assoc > 127 {
-		panic(fmt.Sprintf("hw: LLC associativity must be in [%d, 127]", narrowWays+1))
+	return &lastLevelCache{
+		rows:    make([]llcRow, sets),
+		setMask: uint64(sets - 1),
+		assoc:   uint32(cs.Assoc),
+		setBits: uint32(bits.TrailingZeros(uint(sets))),
+		gen:     1,
 	}
-	nr := (cs.Assoc + 3) / 4
-	l := &lastLevelCache{
-		rank0:    make([]uint32, nr),
-		setMask:  uint64(sets - 1),
-		assoc:    int32(cs.Assoc),
-		rowWords: int32(cs.Assoc+nr+2+15) &^ 15, // whole 64-byte host lines
-		setBits:  uint32(bits.TrailingZeros(uint(sets))),
-		gen:      1,
-	}
-	l.rows = make([]uint32, sets*int(l.rowWords))
-	// Way i has rank i, and lanes at or above assoc hold a value no rank
-	// update or victim search matches.
-	for i := 0; i < 4*nr; i++ {
-		lane := uint32(0x7F)
-		if i < cs.Assoc {
-			lane = uint32(i)
-		}
-		l.rank0[i/4] |= lane << (8 * (i % 4))
-	}
-	return l
 }
 
 // probe looks up block, whose resident copy is current if current is
 // true, and reports whether it hit: it is resident and current. A resident
-// copy that is not current is refreshed in place; an absent block fills
-// the set's next empty way, else evicts its least recently used one.
-// Either way the block's way becomes the set's most recently used.
+// copy that is not current is refreshed in place; an absent block is
+// added, dropping the set's least recently used block if the set is full.
+// Either way the block becomes the set's most recently used.
 //
 //dsp:hotpath
 func (l *lastLevelCache) probe(block uint64, current bool) bool {
-	row := l.set(block)
-	n := len(row)
-	ranks := row[l.assoc : int(l.assoc)+len(l.rank0)]
-	t := l.packTag(block)
-	i := findTag(row[:row[n-2]], t)
-	hit := i >= 0 && current
-	if i < 0 {
-		if f := row[n-2]; f < uint32(l.assoc) {
-			i = int(f)
-			row[n-2] = f + 1
+	r := l.row(block)
+	t := l.tag(block)
+	lo, hi := uint16(t), uint8(t>>16)
+	n := int(r.meta & llcFill)
+	i := findTag(r, n, lo, hi)
+	hit := i < n && current
+	if i == n {
+		if uint32(n) < l.assoc {
+			r.meta++
 		} else {
-			i = byteLane(ranks, uint32(l.assoc-1))
+			i = n - 1 // the least recently used block leaves
 		}
-		row[i] = t
 	}
 	if hit {
 		l.hits++
 	} else {
 		l.misses++
 	}
-	promoteBytes(ranks, i)
+	// Ways 0 to i-1 move back one, and the block takes way 0.
+	copy(r.lo[1:i+1], r.lo[:i])
+	copy(r.hi[1:i+1], r.hi[:i])
+	r.lo[0], r.hi[0] = lo, hi
 	return hit
 }
 
-// set returns block's set row, rebuilt empty if it is stamped with an
-// older generation.
+// row returns block's set, rebuilt empty if it is stamped with an older
+// generation.
 //
 //dsp:hotpath
-func (l *lastLevelCache) set(block uint64) []uint32 {
-	w := int(l.rowWords)
-	lo := int(block&l.setMask) * w
-	row := l.rows[lo : lo+w : lo+w]
-	if row[w-1] != l.gen {
-		copy(row[l.assoc:], l.rank0)
-		row[w-2] = 0
-		row[w-1] = l.gen
+func (l *lastLevelCache) row(block uint64) *llcRow {
+	r := &l.rows[block&l.setMask]
+	if r.meta>>8 != l.gen {
+		r.meta = l.gen << 8
 	}
-	return row
+	return r
 }
 
-// packTag returns block's packed tag: its bits above the set index plus
-// one, so that no tag is 0.
+// tag returns block's tag: its bits above the set index.
 //
 //dsp:hotpath
-func (l *lastLevelCache) packTag(block uint64) uint32 {
-	hi := block >> l.setBits
-	if hi >= 1<<32-1 {
+func (l *lastLevelCache) tag(block uint64) uint32 {
+	t := block >> l.setBits
+	if t >= 1<<llcTagBits {
 		l.keyTooLarge(block)
 	}
-	return uint32(hi) + 1
+	return uint32(t)
 }
 
-// keyTooLarge panics: a key beyond the packed tags is a caller's bug that
+// keyTooLarge panics: a key beyond the 24-bit tags is a caller's bug that
 // would otherwise alias another block.
 func (l *lastLevelCache) keyTooLarge(block uint64) {
-	panic(fmt.Sprintf("hw: block %#x does not fit the packed tags of a %d-set LLC", block, l.setMask+1))
+	panic(fmt.Sprintf("hw: block %#x does not fit the %d-bit tags of a %d-set LLC", block, llcTagBits, l.setMask+1))
 }
 
-// find returns the way of block within its set, or -1 if it is not
-// resident, without touching LRU state.
-func (l *lastLevelCache) find(block uint64) int {
-	w := int(l.rowWords)
-	lo := int(block&l.setMask) * w
-	row := l.rows[lo : lo+w]
-	if row[w-1] != l.gen {
-		return -1
+// findTag returns the way of r's first n that holds the tag {lo, hi}, or n.
+//
+//dsp:hotpath
+func findTag(r *llcRow, n int, lo uint16, hi uint8) int {
+	for i, x := range r.lo[:n] {
+		if x == lo && r.hi[i] == hi {
+			return i
+		}
 	}
-	return findTag(row[:row[w-2]], l.packTag(block))
+	return n
 }
 
 // reset empties the cache and zeroes its counts. It starts a new
 // generation, which leaves every set stale.
 func (l *lastLevelCache) reset() {
 	l.hits, l.misses = 0, 0
-	if l.gen++; l.gen == 0 {
-		// The stamps wrapped: clear them, so that no set stamped 2^32
+	if l.gen++; l.gen == 1<<llcTagBits {
+		// The stamps wrapped: clear them, so that no set stamped 2^24
 		// resets ago reads as current.
 		clear(l.rows)
 		l.gen = 1
 	}
-}
-
-// findTag returns the way holding packed tag t among tags, or -1.
-//
-//dsp:hotpath
-func findTag(tags []uint32, t uint32) int {
-	for i, x := range tags {
-		if x == t {
-			return i
-		}
-	}
-	return -1
-}
-
-// byteLane returns the lane of the rank byte in words equal to v, which a
-// set's rank words always hold.
-//
-//dsp:hotpath
-func byteLane(words []uint32, v uint32) int {
-	b := v * ones32
-	for k := 0; ; k++ {
-		x := words[k] ^ b
-		if z := ^((x&low32 + low32) | x | low32); z != 0 {
-			return 4*k + bits.TrailingZeros32(z)>>3
-		}
-	}
-}
-
-// promoteBytes makes way i of a set with the given rank words the most
-// recently used: every way of lower rank moves down one. Lanes at or above
-// the associativity hold 0x7F, which no rank below 127 moves.
-//
-//dsp:hotpath
-func promoteBytes(words []uint32, i int) {
-	sh := uint(8 * (i & 3))
-	r := words[i>>2] >> sh & 0xFF
-	if r == 0 {
-		return
-	}
-	b := r * ones32
-	for k, x := range words {
-		words[k] = x + (^((x|high32)-b)&high32)>>7
-	}
-	words[i>>2] &^= 0xFF << sh
 }

@@ -1,7 +1,9 @@
 package hw
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -27,6 +29,76 @@ func TestAddrRoundTrip(t *testing.T) {
 	}
 	if IsData(CodeBase + 100) {
 		t.Fatal("code address classified as data")
+	}
+}
+
+// TestDataAddrOutOfRangePanics: DataAddr refuses a socket outside
+// [0, MaxSockets) and an offset past the socket's window rather than name
+// another socket's line or a code block.
+func TestDataAddrOutOfRangePanics(t *testing.T) {
+	if a := DataAddr(MaxSockets-1, DataWindowBytes-1); HomeSocket(a) != MaxSockets-1 || Offset(a) != DataWindowBytes-1 || !IsData(a) {
+		t.Fatalf("DataAddr(%d, %#x) = %#x does not round-trip", MaxSockets-1, DataWindowBytes-1, a)
+	}
+	for _, c := range []struct {
+		socket int
+		offset uint64
+	}{{0, DataWindowBytes}, {1, 1 << 40}, {MaxSockets, 0}, {-1, 0}} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "outside the layout") {
+					t.Errorf("DataAddr(%d, %#x) panicked with %q, want a message naming the layout", c.socket, c.offset, msg)
+				}
+			}()
+			DataAddr(c.socket, c.offset)
+		}()
+	}
+}
+
+// TestLayoutKeepsSetIndices checks what makes the address layout exact: on
+// Table III and every variant, at 4 KB and 2 MB pages, no set index of a
+// cache or TLB reads an address bit at or above 28, and the code range and
+// every socket's data window start at multiples of 2^28. Moving a region
+// by a multiple of 2^28 then moves no address to another set, and two keys
+// share a tag exactly when they are equal, so every hit and miss stays.
+func TestLayoutKeepsSetIndices(t *testing.T) {
+	const bound = 28
+	if CodeBase%(1<<bound) != 0 {
+		t.Errorf("CodeBase %#x is not a multiple of 2^%d", CodeBase, bound)
+	}
+	for _, name := range VariantNames() {
+		base, _ := Variant(name)
+		for _, spec := range []MachineSpec{base, base.WithHugePages()} {
+			what := fmt.Sprintf("variant %q at %d-byte pages", name, spec.PageBytes)
+			m := buildMachine(spec, 1)
+			c, llc := m.cores[0], m.sockets[0].llc
+			// topBit is the highest address bit a set index of setMask
+			// reads from keys of addresses shifted right by shift.
+			topBit := func(shift uint, setMask uint64) int { return int(shift) + bits.Len64(setMask) - 1 }
+			lineShift := uint(bits.TrailingZeros(LineBytes))
+			for _, p := range []struct {
+				cache string
+				bit   int
+			}{
+				{"L1I", topBit(m.iBlockShift, c.l1i.setMask)},
+				{"L1D", topBit(lineShift, c.l1d.setMask)},
+				{"L2 (data)", topBit(lineShift, c.l2.setMask)},
+				{"L2 (code)", topBit(m.iBlockShift, c.l2.setMask)},
+				{"LLC (data)", topBit(lineShift, llc.setMask)},
+				{"LLC (code)", topBit(m.iBlockShift, llc.setMask)},
+				{"ITLB", topBit(m.pageShift, c.itlb.setMask)},
+				{"DTLB", topBit(m.pageShift, c.dtlb.setMask)},
+				{"STLB", topBit(m.pageShift, c.stlb.setMask)},
+			} {
+				if p.bit >= bound {
+					t.Errorf("%s: the %s's set index reads address bit %d", what, p.cache, p.bit)
+				}
+			}
+			for s := 0; s < spec.Sockets; s++ {
+				if a := DataAddr(s, 0); a%(1<<bound) != 0 {
+					t.Errorf("%s: socket %d's data window starts at %#x, not a multiple of 2^%d", what, s, a, bound)
+				}
+			}
+		}
 	}
 }
 
@@ -289,20 +361,22 @@ func TestDRAMUtilizationSelectsSockets(t *testing.T) {
 }
 
 // machineFootprintCeiling bounds the bytes NewMachine(TableIII()) allocates:
-// 0.7% above the 11,714,264 bytes measured, and set 31% below the
-// 17,029,832 a machine took while its LLCs kept a coherence version per way
-// (1.31 MB per socket) and a hashed table held each written line's state.
-// Its four 20-way LLCs are most of it, at 128 bytes per set; with a
-// last-use tick per way and an MRU hint per set, a machine took 37,127,648
-// bytes.
-const machineFootprintCeiling = 11_800_000
+// 0.7% above the 6,157,304 bytes measured, and set 47% below the
+// 11,714,264 a machine took while an LLC set was a 128-byte row of 32-bit
+// tags and rank bytes and a cache way held a 64-bit tag. Its four 20-way
+// LLCs, one 64-byte row per set, are 4 MB of it. With a coherence version
+// per LLC way and a hashed table of written lines a machine took
+// 17,029,832 bytes; with a last-use tick per way and an MRU hint per set,
+// 37,127,648.
+const machineFootprintCeiling = 6_200_000
 
 // sliceFootprintCeiling bounds the bytes a Table III machine built for its
-// first socket's 8 cores allocates: 0.6% above the 2,933,360 bytes
-// measured, and set 32% below the 4,308,320 a slice took while its LLC kept
-// versions. One LLC and 8 cores' private caches are most of it; the other
-// sockets' DRAM channels and QPI links are built too.
-const sliceFootprintCeiling = 2_950_000
+// first socket's 8 cores allocates: 0.7% above the 1,544,120 bytes
+// measured, and set 47% below the 2,933,360 a slice took with 128-byte
+// LLC rows and 16-byte ways (4,308,320 while its LLC kept versions). One
+// LLC and 8 cores' private caches are most of it; the other sockets' DRAM
+// channels and QPI links are built too.
+const sliceFootprintCeiling = 1_555_000
 
 // TestMachineFootprint measures the bytes (runtime.MemStats.TotalAlloc, GC
 // off) that building a Table III machine allocates: whole, built for one

@@ -96,9 +96,18 @@ func Parallel() Config {
 	return c
 }
 
-// tenuredBase is the per-socket offset where long-lived (tenured)
-// allocations start, far above the circular young generation.
-const tenuredBase = uint64(1) << 40
+// A socket's data window (hw.DataWindowBytes, 16 GB) holds the heap's
+// regions, each base a multiple of 2^28 as hw's layout requires: the
+// circular young generation in its first GB, the tenured region from
+// tenuredBase (14 GB of it) and, on socket 0, the metaspace in its last
+// GB. The young region needs only YoungBytes over the socket count (a
+// simulation keeps YoungBytes below 64 MB), so the tenured region takes
+// the rest: at 120 MB of scan scratch per map-match executor, a
+// one-socket tm cell runs up to scale 14.
+const (
+	tenuredBase   = uint64(1) << 30
+	metaspaceBase = hw.DataWindowBytes - 1<<30
+)
 
 // Heap is the simulated JVM heap. It is driven from the single-threaded
 // simulation, so it needs no locking.
@@ -135,6 +144,9 @@ func NewHeap(sockets int, cfg Config) *Heap {
 	youngPer := cfg.YoungBytes / uint64(sockets)
 	if youngPer < 64<<10 {
 		youngPer = 64 << 10
+	}
+	if youngPer > tenuredBase {
+		panic(fmt.Sprintf("jvm: a young region of %d bytes per socket runs into the tenured region at %#x", youngPer, tenuredBase))
 	}
 	return &Heap{
 		cfg: cfg, sockets: sockets,
@@ -179,12 +191,17 @@ func (h *Heap) Alloc(socket, size int) (addr uint64, pause sim.Cycles) {
 
 // AllocTenured allocates long-lived memory (operator state, queue rings) on
 // the given socket. Tenured memory is never reused or collected by the
-// minor-GC model.
+// minor-GC model. It panics if the allocation would run into the
+// metaspace's GB of the window.
 func (h *Heap) AllocTenured(socket, size int) uint64 {
 	if size < 0 {
 		panic("jvm: negative allocation")
 	}
 	cur := (h.tenured[socket] + 63) &^ 63
+	if uint64(size) > metaspaceBase-tenuredBase-cur {
+		panic(fmt.Sprintf("jvm: a tenured allocation of %d bytes at %#x on socket %d runs into the metaspace at %#x",
+			size, tenuredBase+cur, socket, metaspaceBase))
+	}
 	h.tenured[socket] = cur + uint64(size)
 	return hw.DataAddr(socket, tenuredBase+cur)
 }
