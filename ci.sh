@@ -123,9 +123,12 @@ go test -run 'TestRingTransferZeroAllocs|TestRingMsgTransferZeroAllocs|TestNativ
 # filter to a dense one on every estimate (internal/apps/bloom_test.go),
 # FuzzHistogramGobDecode requires a decoded histogram, which the memo cache
 # reads from disk, to be an error or readable without a panic
-# (internal/metrics/gob_test.go), and FuzzMPSCMatchesReference holds an
+# (internal/metrics/gob_test.go), FuzzMPSCMatchesReference holds an
 # MPSC's lanes to slice queues on every push, pop, lane index and length
-# (internal/ring/mpsc_fuzz_test.go). The test runs above replay their
+# (internal/ring/mpsc_fuzz_test.go), and FuzzSimQueueMatchesFixedRing holds
+# the simulator's chunked input queue to the fixed ring it replaced on
+# every slot, message, size and full or empty answer, and on the chunks it
+# holds (internal/engine/queue_ref_test.go). The test runs above replay their
 # committed corpora (testdata/fuzz in each package); this explores new
 # inputs for a fixed time. Each interesting input the fuzzer finds is
 # minimized for at most 1 s (-fuzzminimizetime; the default of 60 s let
@@ -143,6 +146,7 @@ fuzz FuzzCodeL1IMatchesReference 10s ./internal/hw/
 fuzz FuzzBloomMatchesDense 10s ./internal/apps/
 fuzz FuzzHistogramGobDecode 10s ./internal/metrics/
 fuzz FuzzMPSCMatchesReference 10s ./internal/ring/
+fuzz FuzzSimQueueMatchesFixedRing 10s ./internal/engine/
 # Ring stress stage: the high-iteration SPSC/MPSC protocol hammer under the
 # race detector (skipped without DSP_STRESS so plain `go test ./...` stays
 # fast). Sequence checks catch lost/reordered items; -race catches the

@@ -9,17 +9,18 @@ import (
 
 // simAllocCeilings bound the bytes a sim-cells cell allocates on a machine
 // from the free list, each 1.2% above the largest of its measurements over
-// two runs at -count 10: wc/storm allocated 4,144,136-4,144,400 bytes and
-// vs/storm, the mix's largest, 5,443,200-5,443,704. Building a machine per
+// two runs at -count 10: wc/storm allocated 3,428,744-3,429,232 bytes and
+// vs/storm, the mix's largest, 3,978,504-3,979,024. Building a machine per
 // cell (about 17 MB of caches) exceeds either at least four times over;
-// dense VS Bloom filters, fixed 1024-message queue rings or a batch slab
-// per message exceed the vs/storm ceiling.
+// dense VS Bloom filters, fixed 1024-message queue rings, queue storage
+// that doubles instead of taking chunks from the run's pool, or a batch
+// slab per message exceed the vs/storm ceiling.
 var simAllocCeilings = []struct {
 	app     string
 	ceiling uint64
 }{
-	{"wc", 4_195_000},
-	{"vs", 5_510_000},
+	{"wc", 3_471_000},
+	{"vs", 4_027_000},
 }
 
 // TestSimCellAllocCeiling runs the wc/storm and vs/storm cells of

@@ -90,6 +90,10 @@ func (s *Store) Key(canonical string) string {
 // from previous processes of the same build live). Errors are memoized
 // in-memory only and never persisted.
 //
+// If run panics, the cell is forgotten and the panic goes on to Do's
+// caller: requests that were waiting for the run return an error naming
+// the cell, and a later request runs the cell again.
+//
 // The returned Result is shared by every caller of the same key and must
 // be treated as immutable.
 func (s *Store) Do(canonical string, run func() (*engine.Result, error)) (*engine.Result, error) {
@@ -121,7 +125,7 @@ func (s *Store) Do(canonical string, run func() (*engine.Result, error)) (*engin
 		}
 	}
 
-	res, err := run()
+	res, err := s.runEntry(key, e, run)
 	e.res, e.err = res, err
 	close(e.done)
 	s.mu.Lock()
@@ -135,6 +139,25 @@ func (s *Store) Do(canonical string, run func() (*engine.Result, error)) (*engin
 		}
 	}
 	return res, err
+}
+
+// runEntry runs the cell of entry e. If run panics, it removes e from the
+// store, releases e's waiters with an error naming the cell, and panics
+// again with the same value.
+func (s *Store) runEntry(key string, e *entry, run func() (*engine.Result, error)) (*engine.Result, error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.mu.Lock()
+			if s.entries[key] == e {
+				delete(s.entries, key)
+			}
+			s.mu.Unlock()
+			e.err = fmt.Errorf("memo: the run of cell %s panicked: %v", e.canonical, p)
+			close(e.done)
+			panic(p)
+		}
+	}()
+	return run()
 }
 
 // Stats returns a snapshot of the store's counters.

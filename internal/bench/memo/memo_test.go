@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -130,6 +132,45 @@ func TestDoMemoizesErrorsInMemoryOnly(t *testing.T) {
 	}
 	if runs != 2 {
 		t.Fatalf("post-reset run count = %d, want 2", runs)
+	}
+}
+
+// A run that panics must not wedge its cell: the panic reaches the Do that
+// ran it, a Do that joined during the run returns an error naming the cell,
+// and a later Do of the same cell runs it again.
+func TestDoReleasesPanickedRun(t *testing.T) {
+	s := New("fp-test")
+	running := make(chan struct{})
+	waited := make(chan error, 1)
+	go func() {
+		<-running
+		_, err := s.Do("panicky-cell", func() (*engine.Result, error) {
+			t.Error("a waiter ran the cell")
+			return nil, nil
+		})
+		waited <- err
+	}()
+	func() {
+		defer func() {
+			if p := recover(); p != "boom" {
+				t.Errorf("Do recovered %v, want the run's panic", p)
+			}
+		}()
+		s.Do("panicky-cell", func() (*engine.Result, error) {
+			close(running)
+			for s.Stats().MemHits == 0 { // until the waiter has joined
+				runtime.Gosched()
+			}
+			panic("boom")
+		})
+	}()
+	if err := <-waited; err == nil || !strings.Contains(err.Error(), "panicky-cell") {
+		t.Fatalf("the waiter returned %v, want an error naming the cell", err)
+	}
+	runs := 0
+	res, err := s.Do("panicky-cell", func() (*engine.Result, error) { runs++; return fakeResult("wc", 9), nil })
+	if err != nil || res == nil || runs != 1 {
+		t.Fatalf("a Do after the panic returned %v, %v after %d runs; want a result from one run", res, err, runs)
 	}
 }
 

@@ -111,6 +111,18 @@ func cellDigest(r *engine.Result) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// tmCellDigests pins the two TM cells of sim-cells' shapes, which the mix
+// itself leaves out: tm/storm on one socket and tm/flink on four sockets at
+// scale 4 with S=8. TM is the only app whose operators charge accessState
+// and scanScratch, so no other tier-1 test reaches those two cost paths.
+var tmCellDigests = []struct {
+	cell Cell
+	want string
+}{
+	{Cell{App: "tm", System: "storm", Sockets: 1}, "0d2201f587c6deb4"},
+	{Cell{App: "tm", System: "flink", Sockets: 4, Scale: 4, BatchSize: 8}, "9694398ffac38a0e"},
+}
+
 // TestVariantCellDigests runs each variantCellDigests cell at seed 1 and
 // EventScale 0.1 and requires its digest.
 func TestVariantCellDigests(t *testing.T) {
@@ -128,6 +140,27 @@ func TestVariantCellDigests(t *testing.T) {
 		if got := cellDigest(r.Res); got != variantCellDigests[i].want {
 			t.Errorf("%s/%s on %s (sockets %d, huge pages %v): digest %s, want %s (%d cycles, LLC %+v)",
 				c.App, c.System, c.Spec, c.Sockets, c.HugePages, got, variantCellDigests[i].want, r.Res.ChargedCycles, r.Res.Ops.LLC)
+		}
+	}
+}
+
+// TestTMCellDigests runs each tmCellDigests cell at seed 1 and EventScale
+// 0.1 and requires its digest.
+func TestTMCellDigests(t *testing.T) {
+	cells := make([]Cell, len(tmCellDigests))
+	for i, c := range tmCellDigests {
+		cells[i] = c.cell
+		cells[i].EventScale, cells[i].Seed = 0.1, 1
+	}
+	results, err := runCells(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		c := r.Cell
+		if got := cellDigest(r.Res); got != tmCellDigests[i].want {
+			t.Errorf("%s/%s on %d sockets (scale %d, batch %d): digest %s, want %s (%d cycles, DataLines %d, StreamCalls %d)",
+				c.App, c.System, c.Sockets, c.Scale, c.BatchSize, got, tmCellDigests[i].want, r.Res.ChargedCycles, r.Res.Ops.DataLines, r.Res.Ops.StreamCalls)
 		}
 	}
 }

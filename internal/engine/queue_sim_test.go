@@ -9,7 +9,7 @@ import (
 func newTestQueue(cap int) (*simQueue, *sim.Scheduler, *sim.Kernel) {
 	k := sim.NewKernel()
 	s := sim.NewScheduler(k, 1, 1, sim.DefaultSchedulerConfig())
-	return newSimQueue(cap, 0x1000, s), s, k
+	return newSimQueue(cap, 0x1000, s, new(chunkPool[Msg])), s, k
 }
 
 func TestSimQueueFIFO(t *testing.T) {
@@ -67,7 +67,7 @@ func TestSimQueueSlotAddresses(t *testing.T) {
 func TestSimQueueWakeups(t *testing.T) {
 	k := sim.NewKernel()
 	s := sim.NewScheduler(k, 2, 2, sim.DefaultSchedulerConfig())
-	q := newSimQueue(1, 0, s)
+	q := newSimQueue(1, 0, s, new(chunkPool[Msg]))
 
 	woken := map[string]bool{}
 	mk := func(name string) *sim.Thread {

@@ -174,11 +174,16 @@ type simRuntime struct {
 	// tr mirrors cfg.Trace for the executors' nil-guarded trace hooks.
 	tr *trace.Tracer
 
+	// msgChunks holds the spare storage chunks of the run's input queues:
+	// every queue takes its chunks from it and gives them back, so the run
+	// allocates only the most chunks its queues hold at once.
+	msgChunks chunkPool[Msg]
+
 	// slabs is the run's free list of cleared batch slabs: a consumer
 	// returns each data batch once it has handled it, and slab hands it
 	// out again, so a run allocates only as many slabs as it ever has in
 	// flight. slabsMade counts the slabs put into circulation.
-	slabs     [][]Tuple
+	slabs     slabStack
 	slabsMade int
 }
 
@@ -279,7 +284,7 @@ func (rt *simRuntime) build() error {
 		}
 		if e.src == nil {
 			base := rt.heap.AllocTenured(qSocket, cfg.System.QueueCap*32)
-			d.in = newSimQueue(cfg.System.QueueCap, base, rt.sched)
+			d.in = newSimQueue(cfg.System.QueueCap, base, rt.sched, &rt.msgChunks)
 		}
 		rt.drivers = append(rt.drivers, d)
 	}
@@ -473,15 +478,11 @@ func (d *simDriver) stamp() int64 { return int64(d.nowCycles()) }
 //dsp:hotpath
 func (d *simDriver) slab(int) []Tuple {
 	rt := d.rt
-	n := len(rt.slabs)
-	if n == 0 {
+	if rt.slabs.top == nil {
 		rt.slabsMade++
 		return nil
 	}
-	s := rt.slabs[n-1]
-	rt.slabs[n-1] = nil
-	rt.slabs = rt.slabs[:n-1]
-	return s
+	return rt.slabs.pop()
 }
 
 //dsp:hotpath
@@ -540,7 +541,7 @@ func (d *simDriver) Step(quantum sim.Cycles) (sim.Cycles, sim.Disposition) {
 				// The operator got its tuples by value, so the slab can go
 				// back to the run's free list.
 				clear(msg.Batch)
-				d.rt.slabs = append(d.rt.slabs, msg.Batch[:0])
+				d.rt.slabs.push(msg.Batch[:0])
 			}
 		}
 		if !d.flushPending() {
@@ -837,6 +838,76 @@ func (d *simDriver) beginFinish() (sim.Cycles, sim.Disposition) {
 	return max(d.consumed, 1), sim.Done
 }
 
+// chunkLen is the number of items in one storage chunk of a simulated
+// run's queues and slab free list: a chunk of messages is 5.6 KB.
+const chunkLen = 64
+
+// chunk is a fixed block of storage. next links a queue's chunks oldest
+// first, the slab free list's chunks top down and a pool's spare chunks.
+type chunk[T any] struct {
+	items [chunkLen]T
+	next  *chunk[T]
+}
+
+// chunkPool holds one run's spare chunks. Its users take a chunk when the
+// ones they hold are full and give it back, cleared, once they have
+// emptied it, so in-flight items are never copied and the pool allocates
+// only the most chunks its users hold at once. A pool lives and dies with
+// its run: kept across runs, it would hold the largest run's chunks live
+// under every later one.
+type chunkPool[T any] struct {
+	free *chunk[T]
+	held int // chunks taken and not given back
+}
+
+func (p *chunkPool[T]) take() *chunk[T] {
+	c := p.free
+	if c == nil {
+		c = new(chunk[T])
+	} else {
+		p.free, c.next = c.next, nil
+	}
+	p.held++
+	return c
+}
+
+func (p *chunkPool[T]) give(c *chunk[T]) {
+	c.next, p.free = p.free, c
+	p.held--
+}
+
+// slabStack is the run's free list of batch slabs, a stack of chunks from
+// its own pool: top holds the n most recently pushed slabs, and every
+// chunk below it is full.
+type slabStack struct {
+	top  *chunk[[]Tuple]
+	n    int
+	pool chunkPool[[]Tuple]
+}
+
+func (s *slabStack) push(b []Tuple) {
+	if s.top == nil || s.n == chunkLen {
+		c := s.pool.take()
+		s.top, c.next, s.n = c, s.top, 0
+	}
+	s.top.items[s.n] = b
+	s.n++
+}
+
+// pop removes the most recently pushed slab; the stack must not be empty.
+func (s *slabStack) pop() []Tuple {
+	c := s.top
+	s.n--
+	b := c.items[s.n]
+	c.items[s.n] = nil
+	if s.n == 0 {
+		// n is ignored while top is nil.
+		s.top, s.n = c.next, chunkLen
+		s.pool.give(c)
+	}
+	return b
+}
+
 // simQueue is a bounded executor input queue for the simulated runtime: a
 // ring of messages with blocking semantics expressed through the simulated
 // scheduler. The ring buffer itself occupies simulated memory (on the
@@ -844,25 +915,30 @@ func (d *simDriver) beginFinish() (sim.Cycles, sim.Disposition) {
 // so push/pop traffic participates in the cache and NUMA model.
 //
 // The simulated ring always has capacity slots, and slot numbers follow it.
-// The Go storage holding the queued messages is a ring of its own that
-// doubles when full, so a queue costs host memory in proportion to the
-// most messages it ever held at once, not to its capacity.
+// The Go storage holding the queued messages is a FIFO of fixed chunks
+// from the run's pool: a push into a full last chunk takes another, and a
+// pop that empties the first chunk gives it back, so a queue holds host
+// memory only while it holds messages.
 type simQueue struct {
-	capacity  int
-	head, n   int   // the simulated ring: the oldest message's slot and the count
-	buf       []Msg // storage: the queued messages from buf[off], wrapping
-	off       int
-	baseAddr  uint64
-	slotBytes int
+	capacity int
+	head, n  int // the simulated ring: the oldest message's slot and the count
+	// The queued messages run from first.items[off] through the chunks
+	// after it; an empty queue holds no chunk.
+	first, last *chunk[Msg]
+	off         int
+	pool        *chunkPool[Msg]
+	baseAddr    uint64
+	slotBytes   int
 
 	waitData  *sim.Thread
 	waitSpace []*sim.Thread
 	sched     *sim.Scheduler
 }
 
-func newSimQueue(capacity int, base uint64, sched *sim.Scheduler) *simQueue {
+func newSimQueue(capacity int, base uint64, sched *sim.Scheduler, pool *chunkPool[Msg]) *simQueue {
 	return &simQueue{
 		capacity:  capacity,
+		pool:      pool,
 		baseAddr:  base,
 		slotBytes: 32, // a tuple-batch reference + sequence bookkeeping
 		sched:     sched,
@@ -880,10 +956,16 @@ func (q *simQueue) tryPush(m Msg) (slot int, ok bool) {
 	if q.n == q.capacity {
 		return 0, false
 	}
-	if q.n == len(q.buf) {
-		q.grow()
+	at := (q.off + q.n) % chunkLen
+	switch {
+	case q.n == 0:
+		q.first = q.pool.take()
+		q.last = q.first
+	case at == 0:
+		c := q.pool.take()
+		q.last.next, q.last = c, c
 	}
-	q.buf[(q.off+q.n)%len(q.buf)] = m
+	q.last.items[at] = m
 	slot = (q.head + q.n) % q.capacity
 	q.n++
 	if q.waitData != nil {
@@ -894,26 +976,25 @@ func (q *simQueue) tryPush(m Msg) (slot int, ok bool) {
 	return slot, true
 }
 
-// grow doubles the full storage ring (to at most capacity), unwrapping the
-// queued messages to its start.
-func (q *simQueue) grow() {
-	buf := make([]Msg, min(max(2*len(q.buf), 8), q.capacity))
-	n := copy(buf, q.buf[q.off:])
-	copy(buf[n:], q.buf[:q.off])
-	q.buf, q.off = buf, 0
-}
-
 // tryPop removes the oldest message. On success it wakes writers blocked on
 // a full ring.
 func (q *simQueue) tryPop() (m Msg, slot int, ok bool) {
 	if q.n == 0 {
 		return Msg{}, 0, false
 	}
-	m, slot = q.buf[q.off], q.head
-	q.buf[q.off] = Msg{}
-	q.off = (q.off + 1) % len(q.buf)
+	c := q.first
+	m, slot = c.items[q.off], q.head
+	c.items[q.off] = Msg{}
+	q.off++
 	q.head = (q.head + 1) % q.capacity
 	q.n--
+	if q.n == 0 || q.off == chunkLen {
+		q.first, q.off = c.next, 0
+		if q.n == 0 {
+			q.last = nil
+		}
+		q.pool.give(c)
+	}
 	if len(q.waitSpace) > 0 {
 		ws := q.waitSpace
 		q.waitSpace = nil

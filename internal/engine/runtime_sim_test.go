@@ -417,10 +417,11 @@ func TestSimExecutorProfileView(t *testing.T) {
 // TestSimRecyclesEverySlab is the simulator's twin of
 // TestNativeConnsRecycleEverySlab. A wc/storm run at S=8 with 16-message
 // queues must end with every batch slab it allocated back on the run's
-// free list, cleared. The slabs it allocates are bounded by the messages
-// in flight, which the queues bound, and not by the messages delivered:
-// sixteen times the events deliver sixteen times the messages from a
-// quarter more slabs at most.
+// free list, cleared, in no more chunks than they fill, and with every
+// queue chunk back in the run's pool. The slabs it allocates are bounded
+// by the messages in flight, which the queues bound, and not by the
+// messages delivered: sixteen times the events deliver sixteen times the
+// messages from a quarter more slabs at most.
 func TestSimRecyclesEverySlab(t *testing.T) {
 	run := func(sentences int) (made int, msgs int64) {
 		topo := wcTopology(sentences, func() Operator { return ProcessFunc(func(Context, Tuple) {}) })
@@ -440,10 +441,17 @@ func TestSimRecyclesEverySlab(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rt.slabs) != rt.slabsMade {
-			t.Errorf("%d sentences: %d of %d slabs came back to the free list", sentences, len(rt.slabs), rt.slabsMade)
+		slabs := freeSlabs(t, &rt.slabs)
+		if len(slabs) != rt.slabsMade {
+			t.Errorf("%d sentences: %d of %d slabs came back to the free list", sentences, len(slabs), rt.slabsMade)
 		}
-		for _, s := range rt.slabs {
+		if want := (len(slabs) + chunkLen - 1) / chunkLen; rt.slabs.pool.held != want {
+			t.Errorf("%d sentences: the free list holds %d slabs in %d chunks, want %d", sentences, len(slabs), rt.slabs.pool.held, want)
+		}
+		if rt.msgChunks.held != 0 {
+			t.Errorf("%d sentences: the drained queues still hold %d chunks", sentences, rt.msgChunks.held)
+		}
+		for _, s := range slabs {
 			for _, tp := range s[:cap(s)] {
 				if len(s) != 0 || tp.Values != nil || tp.Root != 0 || tp.Born != 0 {
 					t.Fatalf("%d sentences: a slab came back holding %d tuples or an uncleared one", sentences, len(s))
@@ -470,4 +478,64 @@ func TestSimRecyclesEverySlab(t *testing.T) {
 	if made == 0 || msgs16 < 15*msgs || 4*made16 > 5*made {
 		t.Fatalf("%d slabs for %d messages grew to %d slabs for %d", made, msgs, made16, msgs16)
 	}
+}
+
+// TestSlabStackIsLIFO pushes slabs onto a slab free list and pops half of
+// them back, in rounds that cross chunk boundaries both ways and end
+// drained: each pop must return the most recently pushed slab, the list
+// must make no more chunks than its deepest point fills, and once drained
+// it must hold no chunk and keep no slab in a spare one.
+func TestSlabStackIsLIFO(t *testing.T) {
+	var st slabStack
+	var want [][]Tuple
+	deepest := 0
+	for _, run := range []int{1, chunkLen - 1, chunkLen + 1, 3, 2*chunkLen + 5, 0} {
+		for len(want) < run {
+			b := make([]Tuple, 0, len(want)+1)
+			st.push(b)
+			want = append(want, b)
+			deepest = max(deepest, len(want))
+		}
+		for len(want) > run/2 {
+			b := want[len(want)-1]
+			want = want[:len(want)-1]
+			if got := st.pop(); cap(got) != cap(b) {
+				t.Fatalf("pop returned a slab of capacity %d, want the last pushed one, of %d", cap(got), cap(b))
+			}
+		}
+		if got := freeSlabs(t, &st); len(got) != len(want) {
+			t.Fatalf("the list holds %d slabs, want %d", len(got), len(want))
+		}
+	}
+	made := st.pool.held
+	for c := st.pool.free; c != nil; c = c.next {
+		made++
+		for _, s := range c.items {
+			if s != nil {
+				t.Fatal("a spare chunk still holds a slab")
+			}
+		}
+	}
+	if st.top != nil || st.pool.held != 0 || made > (deepest+chunkLen-1)/chunkLen {
+		t.Fatalf("drained: top %p, %d chunks held, %d made for at most %d slabs", st.top, st.pool.held, made, deepest)
+	}
+}
+
+// freeSlabs lists the slabs on a slab free list, top down, and fails t
+// unless the top chunk's popped slots were cleared.
+func freeSlabs(t *testing.T, st *slabStack) [][]Tuple {
+	t.Helper()
+	if st.top == nil {
+		return nil
+	}
+	for _, s := range st.top.items[st.n:] {
+		if s != nil {
+			t.Fatal("a popped slot of the slab free list still holds its slab")
+		}
+	}
+	var out [][]Tuple
+	for c, n := st.top, st.n; c != nil; c, n = c.next, chunkLen {
+		out = append(out, c.items[:n]...)
+	}
+	return out
 }
